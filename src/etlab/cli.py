@@ -48,7 +48,7 @@ def _print_json(obj, precision: int) -> None:
             return [enc(v) for v in o]
         return o
 
-    print(json.dumps(enc(obj), sort_keys=True))
+    print(json.dumps(enc(obj), sort_keys=True, allow_nan=False))
 
 
 def _cmd_check_poly(args) -> int:
@@ -188,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the unit circle.")
     parser.add_argument("--precision", type=int, default=6,
                         help="significant digits in numeric output")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized corpus generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-poly", help="sharp-bound report for a polynomial")
@@ -245,8 +243,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except (EtLabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._search import bisect
 from .errors import DomainError, NegativeDensity, NonRationalWeights, QTooSmall
 from .extremal import rho_type1
 from .kernels import DEFAULT_SPEC, QuadratureSpec
@@ -206,14 +207,10 @@ def move_to_slab_midpoints(rho_q: EmpiricalMeasure, q: int) -> EmpiricalMeasure:
     far = mid2 > q - p0
     target = np.where(far, 2 * (q - p0) - mid2, mid2) / (2.0 * q)
     m = p0 / (2.0 * q)
-    lo = np.full(target.shape, math.asin(2.0 * m) / math.pi)
-    hi = np.full(target.shape, 0.5)
-    for _ in range(60):  # bisection: 60 halvings of [gap, 1/2] reach 5e-19
-        mid = 0.5 * (lo + hi)
-        below = type1_arc_mass(m, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
+    gap = math.asin(2.0 * m) / math.pi
+    # 60 bisection halvings of [gap, 1/2] reach 5e-19
+    x = bisect(lambda x: type1_arc_mass(m, x) < target, np.full(target.shape, gap), 0.5,
+               (0.5 - gap) * 2.0**-60)
     angles = np.concatenate((rho_q.angles[at_zero], np.where(far, 1.0 - x, x)))
     weights = np.concatenate((rho_q.weights[at_zero], rho_q.weights[~at_zero][order]))
     return EmpiricalMeasure(angles, weights)

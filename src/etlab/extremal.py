@@ -17,12 +17,14 @@ values used by the acceptance suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from ._search import bisect
 from .errors import AtDirac, DomainError, LambdaTooLarge
 from .kernels import TIGHT_SPEC, QuadratureSpec
 from .measures import (
@@ -76,37 +78,24 @@ def _phi0_closed(R: float) -> float:
     return s * math.log(R + s) - R
 
 
-_R_CRITICAL_CACHE: float | None = None
-
-
+@functools.cache
 def r_critical() -> float:
     """The unique root of sqrt(R^2-1) log(R + sqrt(R^2-1)) - R in (1, 3).
 
-    Computed once by bisection on the closed form to 1e-12 and cached; the
+    Computed once by bisection on the closed form to 1e-13 and cached; the
     principal-value route phi(0, r_critical()) ~ 0 is a consistency test,
     not the source of truth.
     """
-    global _R_CRITICAL_CACHE
-    if _R_CRITICAL_CACHE is not None:
-        return _R_CRITICAL_CACHE
     lo, hi = 1.0 + 1e-9, 3.0
-    flo = _phi0_closed(lo)
-    assert flo < 0.0 < _phi0_closed(hi)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if _phi0_closed(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    _R_CRITICAL_CACHE = 0.5 * (lo + hi)
-    return _R_CRITICAL_CACHE
+    assert _phi0_closed(lo) < 0.0 < _phi0_closed(hi)
+    return float(bisect(lambda r: _phi0_closed(float(r)) < 0.0, lo, hi, 1e-13))
 
 
 def l_of_r(R: float, tol: float = 1e-9, spec: QuadratureSpec = TIGHT_SPEC) -> float:
     """The unique L in (0, 1) with phi(L, R) = 0, for 1 < R < r_critical().
 
-    Bisection is valid because phi is strictly increasing in L; phi(0+, R) < 0
-    below the critical radius and phi(L, R) -> positive as L -> 1.
+    Bisection to ``tol`` is valid because phi is strictly increasing in L;
+    phi(0+, R) < 0 below the critical radius and phi(L, R) -> positive as L -> 1.
     """
     rc = r_critical()
     if not (1.0 < R < rc):
@@ -116,13 +105,7 @@ def l_of_r(R: float, tol: float = 1e-9, spec: QuadratureSpec = TIGHT_SPEC) -> fl
     fhi = phi(hi, R, spec)
     if not (flo < 0.0 < fhi):
         raise DomainError(f"admissibility bracket failed at R={R}: [{flo}, {fhi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if phi(mid, R, spec) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(bisect(lambda L: phi(float(L), R, spec) < 0.0, lo, hi, tol))
 
 
 def make_admissible(R: float | None, lam: float = 1.0,
@@ -177,8 +160,7 @@ def rho_type2(M: float, R: float, L: float, check_mass: bool = True) -> MixedMea
     return rho
 
 
-def periodize(mu: AdmissibleDistR, lattice_terms: int = 400,
-              scan_n: int = 4096) -> MixedMeasureT:
+def periodize(mu: AdmissibleDistR, lattice_terms: int = 400) -> MixedMeasureT:
     """Wrap an admissible line distribution onto the circle.
 
     The result is 1 + (lattice sum of the scaled density) plus the wrapped
@@ -200,36 +182,28 @@ def periodize(mu: AdmissibleDistR, lattice_terms: int = 400,
     diracs = tuple((pos, mass) for pos, mass in mu.dirac_positions_masses())
     meta = {}
     if mu.kind in ("II", "III"):
-        meta["l_ring"], meta["r_ring"] = _sign_change_radii(density, mu, scan_n)
+        meta["l_ring"], meta["r_ring"] = _sign_change_radii(density, mu)
     return MixedMeasureT(diracs=diracs, density=density, even=True, meta=meta)
 
 
-def _sign_change_radii(density: PeriodizedDensity, mu: AdmissibleDistR,
-                       scan_n: int) -> tuple[float | None, float | None]:
+def _sign_change_radii(density: PeriodizedDensity,
+                       mu: AdmissibleDistR) -> tuple[float | None, float | None]:
     """Radii of {wrapped density >= 0} inside (-lam, lam) and (lam, 1-lam)."""
     lam, R, L = mu.lam, mu.R, mu.L or 0.0
+
+    def nonneg(x):
+        return density.evaluate(x).reshape(np.shape(x)) >= 0.0
+
     l_ring = None
-    if L > 0.0:
-        if density.evaluate(np.array([0.0]))[0] >= 0.0:
-            lo, hi = 0.0, lam * L
-            if density.evaluate(np.array([hi - 1e-12]))[0] < 0.0:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if density.evaluate(np.array([mid]))[0] >= 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-            l_ring = 0.5 * (lo + hi)
+    if L > 0.0 and nonneg(0.0):
+        hi = lam * L
+        l_ring = 0.5 * hi
+        if not nonneg(hi - 1e-12):
+            l_ring = float(bisect(nonneg, 0.0, hi, hi * 2.0**-60))
     r_ring = None
-    if lam * R < 0.5 and density.evaluate(np.array([0.5]))[0] >= 0.0:
-        lo, hi = lam * R, 0.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if density.evaluate(np.array([mid]))[0] >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        r_ring = 0.5 * (lo + hi)
+    if lam * R < 0.5 and nonneg(0.5):
+        lo = lam * R
+        r_ring = float(bisect(lambda x: ~nonneg(x), lo, 0.5, (0.5 - lo) * 2.0**-60))
     return l_ring, r_ring
 
 

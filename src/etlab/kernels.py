@@ -354,26 +354,3 @@ def pv_sqrt_composite(f, lo: float, hi: float, pole: float,
         parts.append(_integrate_panels(f, panels, spec))
     return math.fsum(parts)
 
-
-def _integrate_sqrt_left(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integral of f = sqrt(x - a) * (smooth) over [a, b] via x = a + (b-a) t^2."""
-    width = b - a
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = a + width * t * t
-        return _eval_vectorized(f, x) * 2.0 * width * t
-
-    return _integrate_panels(transformed, _segment_panels(0.0, 1.0, False, False, spec), spec)
-
-
-def _integrate_sqrt_right(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integral of f = sqrt(b - x) * (smooth) over [a, b] via x = b - (b-a) t^2."""
-    width = b - a
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = b - width * t * t
-        return _eval_vectorized(f, x) * 2.0 * width * t
-
-    return _integrate_panels(transformed, _segment_panels(0.0, 1.0, False, False, spec), spec)

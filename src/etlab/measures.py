@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import polygamma
 
 from . import kernels
+from ._search import bisect, golden_min
 from .errors import (
     DomainError,
     EmptyMeasure,
@@ -497,6 +497,8 @@ class PeriodizedDensity:
 
     def evaluate_direct(self, x) -> np.ndarray:
         """Truncated lattice sum plus polygamma tail (no interpolation)."""
+        from scipy.special import polygamma  # deferred: scipy is slow to import
+
         xs = np.atleast_1d(_canonical_array(x))
         J = self.lattice_terms
         shifts = np.arange(-J, J + 1)
@@ -645,8 +647,8 @@ def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
     """Sup of (mass - length) over closed arcs for an even mixed measure.
 
     Even measures admit a symmetric maximizing arc [-a, a], so the scan is
-    one-dimensional in the half-width a; the grid is refined by bisecting
-    F'(a) = rho(a) + rho(-a) - 2 between candidates.  Grid-backed densities
+    one-dimensional in the half-width a; next to the best candidate the grid
+    is refined by bisecting F'(a) = rho(a) + rho(-a) - 2.  Grid-backed densities
     take the generic two-endpoint prefix scan instead.
     """
     if isinstance(rho.density, GridBackedDensity):
@@ -688,25 +690,19 @@ def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
     best = int(np.argmax([_even_window_value(rho, a, c) for a, c in zip(avals, cums)]))
     best_a, best_f = avals[best], _even_window_value(rho, avals[best], cums[best])
 
-    # refine inside the neighboring segments: F'(a) = ring(a) - 2
-    for k in (best - 1, best):
-        if k < 0 or k + 1 >= avals.size:
-            continue
-        lo, hi = avals[k], avals[k + 1]
-        flo, fhi = ring(np.array([lo + 1e-13]))[0] - 2.0, ring(np.array([hi - 1e-13]))[0] - 2.0
-        if flo > 0.0 > fhi and hi - lo > 1e-13:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if ring(np.array([mid]))[0] - 2.0 > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            a_star = 0.5 * (lo + hi)
-            extra = kernels.integrate_piece(ring, avals[k], a_star, spec,
-                                            grade_ends=True) if a_star > avals[k] else 0.0
-            f_star = _even_window_value(rho, a_star, cums[k] + extra)
-            if f_star > best_f:
-                best_a, best_f = a_star, f_star
+    # refine inside the neighboring segments where F'(a) = ring(a) - 2 falls
+    # through 0, by 60 bisection halvings of each
+    ks = np.array([k for k in (best - 1, best) if 0 <= k and k + 1 < avals.size], dtype=int)
+    lo, hi = avals[ks], avals[ks + 1]
+    falls = (ring(lo + 1e-13) - 2.0 > 0.0) & (ring(hi - 1e-13) - 2.0 < 0.0) & (hi - lo > 1e-13)
+    ks, lo, hi = ks[falls], lo[falls], hi[falls]
+    a_stars = bisect(lambda a: ring(a) - 2.0 > 0.0, lo, hi, (hi - lo) * 2.0**-60)
+    for k, a_star in zip(ks, a_stars):
+        extra = kernels.integrate_piece(ring, avals[k], a_star, spec,
+                                        grade_ends=True) if a_star > avals[k] else 0.0
+        f_star = _even_window_value(rho, a_star, cums[k] + extra)
+        if f_star > best_f:
+            best_a, best_f = a_star, f_star
     return best_f, IntervalT(-best_a, min(2.0 * best_a, 1.0 - 1e-15))
 
 
@@ -748,73 +744,58 @@ def height_T(rho, grid_n: int = 1024,
 
     The potential is sampled on a half-cell-shifted uniform grid (plus the
     atom-gap midpoints for purely atomic measures), skipping Dirac locations,
-    then the best bracket is polished by ternary search; the potential is
-    strictly convex between atoms, and the constructed families have flat or
-    smooth bottoms, so the local search is reliable.
+    then the best bracket is polished by golden-section search to 1e-10; the
+    potential is strictly convex between atoms, and the constructed families
+    have flat or smooth bottoms, so the local search is reliable.
     """
     if grid_n < 256:
         raise DomainError("grid_n must be at least 256")
     if isinstance(rho, EmpiricalMeasure):
         return _height_empirical(rho, grid_n)
+
+    def potential(xs):
+        return np.array([rho.potential(x, spec) for x in xs])
+
     xs = (np.arange(grid_n) + 0.5) / grid_n - 0.5
     dirac_pos = np.array([a for a, _ in rho.diracs]) if rho.diracs else np.empty(0)
     if dirac_pos.size:
         dist = np.abs(_canonical_array(xs[:, None] - dirac_pos[None, :]))
         xs = xs[dist.min(axis=1) > 1e-12]
-    vals = np.array([rho.potential(x, spec) for x in xs])
+    vals = potential(xs)
     k = int(np.argmin(vals))
-    lo, hi = xs[k] - 1.0 / grid_n, xs[k] + 1.0 / grid_n
-    flo, fhi = rho.potential(lo, spec), rho.potential(hi, spec)
-    best_x, best_v = xs[k], vals[k]
-    for _ in range(80):
-        if hi - lo < 1e-10:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = rho.potential(m1, spec), rho.potential(m2, spec)
-        if f1 < best_v:
-            best_x, best_v = m1, f1
-        if f2 < best_v:
-            best_x, best_v = m2, f2
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-    return -best_v, canonical_angle(best_x)
+    x, v = golden_min(potential, xs[k] - 1.0 / grid_n, xs[k] + 1.0 / grid_n, 1e-10)
+    if v[0] < vals[k]:
+        return -v[0], canonical_angle(x[0])
+    return -vals[k], canonical_angle(xs[k])
 
 
 def _height_empirical(rho: EmpiricalMeasure, grid_n: int) -> tuple[float, Angle]:
     _check_probability(rho)
     theta = rho.angles
-    cands = (np.arange(grid_n) + 0.5) / grid_n - 0.5
-    if theta.size:
-        gaps_mid = theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0)
-        cands = np.concatenate([cands, _canonical_array(gaps_mid)])
-    dist = np.abs(_canonical_array(cands[:, None] - theta[None, :])).min(axis=1) \
-        if theta.size else np.ones_like(cands)
-    cands = cands[dist > 1e-12]
+    gaps_mid = theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0)
+    cands = np.concatenate([(np.arange(grid_n) + 0.5) / grid_n - 0.5,
+                            _canonical_array(gaps_mid)])
+    cands = cands[_nearest_atom_distance(theta, cands) > 1e-12]
     vals = rho.potential(cands)
     k = int(np.argmin(vals))
     x0 = cands[k]
     # bracket within the atom gap containing x0
     rel = (theta - x0) % 1.0
     up = float(np.min(rel[rel > 0])) if np.any(rel > 0) else 1.0
-    down = float(np.min((-rel) % 1.0)) if theta.size else 1.0
-    lo, hi = x0 - down + 1e-13, x0 + up - 1e-13
-    for _ in range(200):
-        if hi - lo < 1e-10:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if rho.potential(m1) <= rho.potential(m2):
-            hi = m2
-        else:
-            lo = m1
-    x_star = 0.5 * (lo + hi)
-    v_star = float(rho.potential(x_star))
-    if vals[k] < v_star:
-        x_star, v_star = x0, float(vals[k])
-    return -v_star, canonical_angle(x_star)
+    down = float(np.min((-rel) % 1.0))
+    x, v = golden_min(rho.potential, x0 - down + 1e-13, x0 + up - 1e-13, 1e-10)
+    if vals[k] < v[0]:
+        return -float(vals[k]), canonical_angle(x0)
+    return -float(v[0]), canonical_angle(x[0])
+
+
+def _nearest_atom_distance(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Circular distance from each x to the nearest atom of sorted, nonempty
+    theta: one of the two circular neighbours of x (both in [-1/2, 1/2))."""
+    right = np.searchsorted(theta, xs) % theta.size
+    left = right - 1  # -1 wraps to the last atom
+    return np.minimum(np.abs(_canonical_array(xs - theta[left])),
+                      np.abs(_canonical_array(xs - theta[right])))
 
 
 def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024,

@@ -91,6 +91,8 @@ class ExternalPotentialSpec:
     extra: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(float(self.M)) and math.isfinite(float(self.m))):
+            raise DomainError(f"M and m must be finite, got M={self.M}, m={self.m}")
         object.__setattr__(self, "M", canonical_angle(self.M))
         if self.m < 0.0:
             raise DomainError("Dirac pair mass must be nonnegative")
@@ -232,8 +234,12 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
     V_U - min V_U.  Stops early once the residual is below ``tol``.
     """
     _check_power_of_two(n_cells)
-    if mass <= 0.0:
-        raise DomainError("mass must be positive")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise DomainError(f"mass must be positive and finite, got {mass}")
+    if iters < 1:
+        raise DomainError(f"iters must be at least 1, got {iters}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
     n = n_cells
     u_grid = u.on_grid(n)
     p = np.full(n, mass / n)  # cell masses

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from etlab.cli import run
+from etlab.cli import _print_json, run
 
 
 def invoke(capsys, *argv):
@@ -72,6 +72,19 @@ class TestCheckPoly:
         code, _, err = invoke(capsys, "check-poly", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"roots": [[1.0, float("nan")]]},
+        {"roots": [[float("inf"), 0.25], [1.0, 0.5]]},
+        {"roots": [[1.0, 0.25]], "leading": [float("nan"), 0.0]},
+        {"coeffs": [[1.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]},
+    ])
+    def test_non_finite_input_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check-poly", str(path))
+        assert code == 2 and "error:" in err
+        assert out == ""
+
 
 class TestExtremalCmd:
     def test_kind2_report(self, capsys):
@@ -128,6 +141,20 @@ class TestSimulate:
         t_header, *t_rows = trace.read_text().strip().split("\n")
         assert t_header == "iteration,energy,residual" and len(t_rows) >= 1
 
+    @pytest.mark.parametrize("patch", [
+        {"m": float("nan")}, {"M": float("inf")}, {"mass": float("nan")},
+        {"iters": -5}, {"iters": 0}, {"tol": float("nan")}, {"tol": -1.0},
+    ])
+    def test_bad_scenario_exit_2(self, capsys, tmp_path, patch):
+        scenario = {"M": 0.0, "m": 0.2, "mass": 0.6, "n_cells": 256, "iters": 100}
+        scenario.update(patch)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = invoke(capsys, "simulate", str(path),
+                                "--out", str(tmp_path / "final.csv"))
+        assert code == 2 and "error:" in err
+        assert out == "" and not (tmp_path / "final.csv").exists()
+
 
 class TestGaneliusCmd:
     def test_density_document(self, capsys, tmp_path):
@@ -165,3 +192,11 @@ class TestUsage:
 
     def test_missing_required_exit_2(self, capsys):
         assert run(["phi", "--L", "0"]) == 2
+
+    def test_seed_flag_is_gone(self, capsys):
+        assert run(["--seed", "1", "table1"]) == 2
+
+    def test_json_output_rejects_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _print_json({"residual": float("nan")}, 6)
+        assert capsys.readouterr().out == ""

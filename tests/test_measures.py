@@ -18,6 +18,8 @@ from etlab.measures import (
     TypeIITDensity,
     TypeITDensity,
     UniformPlusDensity,
+    _canonical_array,
+    _nearest_atom_distance,
     canonical_angle,
     d_tilde,
     d_tilde_quadrature,
@@ -121,6 +123,22 @@ class TestEmpirical:
         h0, _ = height_T(m, 512)
         h1, _ = height_T(m.rotated(0.237), 512)
         assert h0 == pytest.approx(h1, abs=1e-9)
+
+    def test_atoms_on_grid_candidates_match_dense_filter(self, rng):
+        grid_n = 512
+        grid = (np.arange(grid_n) + 0.5) / grid_n - 0.5
+        ang = np.concatenate(([-0.5], grid[[0, 1, 7, 255, 256, 400, grid_n - 1]],
+                              rng.uniform(-0.5, 0.5, 40)))
+        m = EmpiricalMeasure.from_pairs([(a, 1.0 / ang.size) for a in ang])
+        theta = m.angles
+        gaps_mid = _canonical_array(theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0))
+        pts = _canonical_array(np.concatenate(
+            (grid, gaps_mid, theta + 5e-13, theta - 5e-13, [-0.5, 0.5 - 1e-17])))
+        dense = np.abs(_canonical_array(pts[:, None] - theta[None, :])).min(axis=1)
+        assert np.array_equal(_nearest_atom_distance(theta, pts), dense)
+        h, arg = height_T(m, grid_n)
+        assert np.isfinite(h)
+        assert np.abs(_canonical_array(arg - theta)).min() > 1e-12
 
     def test_sharp_inequality_on_random_atoms(self, rng):
         for _ in range(25):
