@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -38,7 +39,9 @@ from . import discretize, extremal, harmonic, measures, polynomials, sediment  #
 from .errors import EtLabError  # noqa: E402
 
 
-def _print_json(obj, precision: int) -> None:
+def _print_json(obj, precision: int, summary: str | None = None) -> None:
+    """Print ``summary`` (if any) and then ``obj`` as one line of strict JSON;
+    nothing is printed when ``obj`` does not encode."""
     def enc(o):
         if isinstance(o, float):
             return float(f"{o:.{precision}g}")
@@ -48,18 +51,30 @@ def _print_json(obj, precision: int) -> None:
             return [enc(v) for v in o]
         return o
 
-    print(json.dumps(enc(obj), sort_keys=True, allow_nan=False))
+    line = json.dumps(enc(obj), sort_keys=True, allow_nan=False)
+    if summary is not None:
+        print(summary)
+    print(line)
+
+
+def _load(path: str, build):
+    """``build`` applied to the JSON document at ``path``.  A document of the
+    wrong shape (not an object, a scalar where a pair belongs, a missing
+    entry of a pair) is bad input like a bad value."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        return build(doc)
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise EtLabError(f"malformed document: {exc}") from exc
 
 
 def _cmd_check_poly(args) -> int:
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    f = polynomials.poly_from_json(doc)
+    f = _load(args.file, polynomials.poly_from_json)
     if not f.has_roots:
         f = f.with_computed_roots()
     report = polynomials.check_et(f)
-    print(report.summary())
-    _print_json(report.to_json(), args.precision)
+    _print_json(report.to_json(), args.precision, report.summary())
     return 0 if report.holds else 1
 
 
@@ -123,15 +138,20 @@ def _cmd_sharpness(args) -> int:
     return 0 if report.rational.G > 0.5 else 1
 
 
+def _scenario(doc: dict):
+    """(potential, mass, n_cells, iters, tol) of a scenario document."""
+    u = sediment.ExternalPotentialSpec(float(doc.get("M", 0.0)), float(doc.get("m", 0.0)))
+    mass = float(doc.get("mass", 1.0 - 2.0 * u.m))
+    tol = doc.get("tol")
+    return (u, mass, operator.index(doc["n_cells"]), operator.index(doc["iters"]),
+            None if tol is None else float(tol))
+
+
 def _cmd_simulate(args) -> int:
-    with open(args.file) as fh:
-        scenario = json.load(fh)
-    u = sediment.ExternalPotentialSpec(scenario.get("M", 0.0), scenario.get("m", 0.0))
-    mass = scenario.get("mass", 1.0 - 2.0 * scenario.get("m", 0.0))
-    tol = scenario.get("tol")
+    u, mass, n_cells, iters, tol = _load(args.file, _scenario)
     trace: list = []
     grid, residual = sediment.minimize_energy(
-        u, mass, scenario["n_cells"], scenario["iters"], tol=tol, trace=trace)
+        u, mass, n_cells, iters, tol=tol, trace=trace)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write("iteration,energy,residual\n")
@@ -150,17 +170,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ganelius(args) -> int:
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    rho = measures.measure_from_json(doc)
+    rho = _load(args.file, measures.measure_from_json)
     if isinstance(rho, measures.EmpiricalMeasure) or rho.diracs:
         raise EtLabError("the conjugate-function check needs a smooth density "
                          "document (no atoms); mollify first")
     theta = np.arange(args.grid_n) / args.grid_n
     samples = rho.density_eval(theta)
     report = harmonic.ganelius_check(samples)
-    print(report.summary())
-    _print_json(report.to_json(), args.precision)
+    _print_json(report.to_json(), args.precision, report.summary())
     return 0 if report.holds else 1
 
 
@@ -181,13 +198,21 @@ def _cmd_periodize(args) -> int:
     return 0
 
 
+def _precision(text: str) -> int:
+    """Significant digits: 17 already round-trip every double."""
+    value = int(text)
+    if not 1 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"must lie in 1..17, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etlab",
         description="Discrepancy/height functionals and extremal distributions "
                     "on the unit circle.")
-    parser.add_argument("--precision", type=int, default=6,
-                        help="significant digits in numeric output")
+    parser.add_argument("--precision", type=_precision, default=6,
+                        help="significant digits in numeric output, 1 to 17")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-poly", help="sharp-bound report for a polynomial")

@@ -36,6 +36,8 @@ def _validate_density_samples(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 16:
         raise DomainError("need a 1-d sample array of length >= 16")
+    if not np.all(np.isfinite(rho)):
+        raise DomainError("density samples must be finite")
     if rho.min() < -1e-10:
         raise NegativeDensity(f"density samples dip to {rho.min()}")
     mean = float(rho.mean())

@@ -12,12 +12,20 @@ The functionals:
 * ``height_T``        -min of the log-kernel potential W * rho
 * ``g_ratio``         height / discrepancy**alpha
 * ``h_tilde/d_tilde/g_tilde``   the line-side analogues on AdmissibleDistR
+
+Potentials: ``EmpiricalMeasure.potential`` is an exact kernel sum.
+``MixedMeasureT.potential`` takes a scalar or an array and evaluates all
+targets in one pass: W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy on fixed
+nodes graded toward the density's kinks, with a rule graded toward x on the
+panels next to it (``_density_potential``).  ``height_T`` samples its whole
+grid in one such call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -289,7 +297,10 @@ class GridBackedDensity:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise DomainError("cell values must be a nonempty 1-d array")
+        object.__setattr__(self, "values", values)
 
     @property
     def n_cells(self) -> int:
@@ -574,61 +585,162 @@ class MixedMeasureT:
     def mass(self, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         return self.dirac_total + self.density_mass(spec)
 
-    def potential(self, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """(W * rho)(x); +inf exactly at a Dirac."""
-        x = float(x)
-        acc = [m * kernel_T(x - a) for a, m in self.diracs]
-        if self.density is not None:
-            if isinstance(self.density, GridBackedDensity):
-                acc.append(_potential_grid_density(self.density, x))
-            else:
-                dens = self.density.evaluate
-                for lo, hi in self.density.pieces():
-                    acc.append(_potential_piece(dens, lo, hi, x, spec))
-        return math.fsum(acc)
+    def potential(self, x):
+        """(W * rho)(x) at a scalar or at every point of an array; +inf exactly
+        at a Dirac.
+
+        Closed-form densities go through one batched pass on fixed nodes
+        (``_density_potential``); a ``GridBackedDensity`` takes its per-cell
+        rule at each point.
+        """
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        out = np.zeros(flat.size)
+        if self.diracs:
+            pos, mass = np.array(self.diracs).T
+            out += kernel_T(flat[:, None] - pos[None, :]) @ mass
+        if isinstance(self.density, GridBackedDensity):
+            out += [_potential_grid_density(self.density, t) for t in flat]
+        elif self.density is not None and self.density.pieces():
+            out += _density_potential(self._fixed_nodes, self.density.evaluate, flat)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    @cached_property
+    def _fixed_nodes(self) -> "_FixedNodes":
+        return _FixedNodes.build(self.density)
 
 
-def _potential_piece(dens, lo: float, hi: float, x: float,
-                     spec: QuadratureSpec) -> float:
-    """Integral of dens(y) * W(x - y) over one arc, splitting at y = x mod 1."""
-    def integrand(y):
-        return dens(y) * kernel_T(x - np.asarray(y, dtype=float))
+# The batched potential of a closed-form density.  Since W integrates to 0
+# over the circle, W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy, whose
+# integrand is bounded.  Panels that do not touch x take fixed Gauss-Legendre
+# nodes, the same for every x, so the density is evaluated there once per
+# measure.  The panel holding x and its two neighbours take a rule graded
+# toward x: a fixed Gauss rule on a panel whose edge lies near x loses up to
+# 7e-7 * width^2 * |rho'(x)| to the (y - x) log|y - x| shape of the integrand.
+# Blocks of 2**14 doubles (128 KiB, glibc's default mmap threshold) reuse heap
+# memory; larger temporaries are mapped afresh for every block.
+_PANEL_WIDTH = 1.0 / 16.0  # widest fixed panel
+_PANEL_NODES = 24          # Gauss-Legendre nodes per fixed panel
+_KINK_LEVELS = 40          # dyadic levels of the end panels toward each kink
+_LOCAL_LEVELS = 20         # dyadic levels of the local rule on each side of x
+_LOCAL_NODES = 16          # Gauss-Legendre nodes per local panel
+_BLOCK_DOUBLES = 2**14     # bound on the temporaries of one block of targets
 
-    if hi - lo >= 1.0 - 1e-12:
-        return kernels.integrate_piece(integrand, x - 0.5, x + 0.5, spec,
-                                       log_at=x, grade_ends=False)
-    mid = 0.5 * (lo + hi)
-    rep = mid + canonical_angle(x - mid)
-    log_at = rep if lo <= rep <= hi else None
-    return kernels.integrate_piece(integrand, lo, hi, spec, log_at=log_at,
-                                   grade_ends=True)
+
+@dataclass(frozen=True, eq=False)
+class _FixedNodes:
+    """Fixed quadrature nodes covering [edges[0], edges[0] + 1).
+
+    The density's kinks, the edges of its pieces, split the circle into
+    arcs; each arc takes equal panels no wider than 1/16, and its two end
+    panels are split dyadically toward the kinks (every sub-panel kept).
+    """
+
+    edges: np.ndarray   # panel edges, ascending; edges[-1] = edges[0] + 1
+    y: np.ndarray       # nodes, _PANEL_NODES per panel, panel by panel
+    w: np.ndarray       # weights
+    rho: np.ndarray     # the density at the nodes
+
+    @classmethod
+    def build(cls, density) -> "_FixedNodes":
+        ends = sorted({canonical_angle(e) for piece in density.pieces() for e in piece})
+        # edges within 1e-13 of each other, also across the seam, are one kink
+        kinks = [e for e, prev in zip(ends, [-math.inf] + ends[:-1]) if e - prev > 1e-13]
+        if len(kinks) > 1 and kinks[0] + 1.0 - kinks[-1] <= 1e-13:
+            kinks.pop()
+        ends = kinks + [kinks[0] + 1.0]
+        edges = [np.array([ends[0]])]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            n = max(2, math.ceil((hi - lo) / _PANEL_WIDTH))
+            step = (hi - lo) / n
+            # the innermost sub-panel stays wider than 64 ulp of an O(1) angle
+            levels = max(1, min(_KINK_LEVELS, int(math.log2(step / (64.0 * kernels._EPS)))))
+            graded = 0.5 ** np.arange(levels, 0, -1)
+            edges += [lo + step * graded, lo + step * np.arange(1, n),
+                      hi - step * graded[::-1], np.array([hi])]
+        edges = np.concatenate(edges)
+        nodes, weights = kernels._gl_rule(_PANEL_NODES)
+        widths = np.diff(edges)
+        y = (edges[:-1, None] + widths[:, None] * nodes).ravel()
+        return cls(edges, y, (widths[:, None] * weights).ravel(), density.evaluate(y))
+
+
+@lru_cache(maxsize=None)
+def _local_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1], graded dyadically toward 0 (sliver kept)."""
+    panels = kernels._split_toward(0.0, 1.0, True, _LOCAL_LEVELS)
+    a, b = np.array([p[:2] for p in panels]).T
+    nodes, weights = kernels._gl_rule(_LOCAL_NODES)
+    return ((a[:, None] + (b - a)[:, None] * nodes).ravel(),
+            ((b - a)[:, None] * weights).ravel())
+
+
+def _density_potential(fixed: _FixedNodes, dens, xs: np.ndarray) -> np.ndarray:
+    """W * rho at every x: fixed nodes off the panels next to x, plus a rule
+    graded toward x on [edge before the previous panel, edge after the next].
+
+    Targets go through in blocks, so that no temporary exceeds about
+    ``_BLOCK_DOUBLES`` doubles.
+    """
+    edges = fixed.edges
+    n_panels = edges.size - 1
+    rel = edges[0] + (xs - edges[0]) % 1.0
+    p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, n_panels - 1)
+    ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
+    before, after = rel - ext[p], ext[p + 3] - rel  # window [x - before, x + after]
+    rho_x = dens(xs)
+    w_rho = np.stack((fixed.w * fixed.rho, fixed.w), axis=1)
+    out = np.empty(xs.size)
+    block = max(1, _BLOCK_DOUBLES // fixed.y.size)
+    for i in range(0, xs.size, block):
+        s = slice(i, i + block)
+        k = kernel_T(rel[s, None] - fixed.y[None, :])
+        # the nodes of panels p - 1, p and p + 1 give way to the local rule
+        near = ((p[s, None] - 1) * _PANEL_NODES + np.arange(3 * _PANEL_NODES)) % fixed.y.size
+        k[np.arange(k.shape[0])[:, None], near] = 0.0
+        sums = k @ w_rho
+        out[s] = sums[:, 0] - rho_x[s] * sums[:, 1]
+    u, wu = _local_rule()
+    block = max(1, _BLOCK_DOUBLES // (2 * u.size))
+    for i in range(0, xs.size, block):
+        s = slice(i, i + block)
+        # offsets t > 0 on each side of x; a zero-width side has t = 0 and
+        # weight 0, and its kernel is taken at 1/2 to stay finite
+        t = np.concatenate((before[s, None] * u, after[s, None] * u), axis=1)
+        wt = np.concatenate((before[s, None] * wu, after[s, None] * wu), axis=1)
+        ys = rel[s, None] + np.concatenate((-t[:, :u.size], t[:, u.size:]), axis=1)
+        diff = dens(ys.ravel()).reshape(ys.shape) - rho_x[s, None]
+        out[s] += (kernel_T(np.where(t > 0.0, t, 0.5)) * diff * wt).sum(axis=1)
+    return out
 
 
 def _potential_grid_density(grid: GridBackedDensity, x: float) -> float:
     """Potential of a piecewise-constant density: per-cell Gauss-Legendre.
 
-    The cell containing x gets the graded log treatment; all other cells are
-    smooth and take a single 32-node panel.
+    The cell holding x and its two neighbours are graded toward both of
+    their ends, and the cell holding x also toward x, since x may sit on the
+    edge of a cell or near it.  All other cells are smooth and take a single
+    32-node panel.
     """
     n = grid.n_cells
     nodes, weights = kernels._gl_rule(32)
-    k = np.arange(n)
-    lo = k / n
+    lo = np.arange(n) / n
     xs = lo[:, None] + nodes[None, :] / n
     vals = kernel_T(x - xs) @ weights / n
-    own = int(np.floor((x % 1.0) * n)) % n
-    vals[own] = 0.0
+    rep = x % 1.0
+    own = int(np.floor(rep * n)) % n
+    near = sorted({(own + d) % n for d in (-1, 0, 1)})
+    vals[near] = 0.0
     base = float(grid.values @ vals)
-    cell_lo = own / n
 
     def integrand(y):
         return kernel_T(x - np.asarray(y, dtype=float))
 
-    rep = cell_lo + ((x - cell_lo) % 1.0)
-    own_val = grid.values[own] * kernels.integrate_piece(
-        integrand, cell_lo, cell_lo + 1.0 / n, DEFAULT_SPEC,
-        log_at=rep, grade_ends=False)
-    return base + own_val
+    return base + math.fsum(
+        grid.values[c] * kernels.integrate_piece(
+            integrand, c / n, (c + 1) / n, DEFAULT_SPEC,
+            log_at=rep if c == own else None, grade_ends=True)
+        for c in near)
 
 
 # ---------------------------------------------------------------------------
@@ -738,32 +850,30 @@ def _discrepancy_grid(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     return value, IntervalT(start, min(length, 1.0 - 1e-15))
 
 
-def height_T(rho, grid_n: int = 1024,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, Angle]:
+def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
     """-(min of W * rho) over the circle, with the minimizing angle.
 
     The potential is sampled on a half-cell-shifted uniform grid (plus the
     atom-gap midpoints for purely atomic measures), skipping Dirac locations,
     then the best bracket is polished by golden-section search to 1e-10; the
     potential is strictly convex between atoms, and the constructed families
-    have flat or smooth bottoms, so the local search is reliable.
+    have flat or smooth bottoms, so the local search is reliable.  For a
+    mixed measure the whole grid is one call of ``MixedMeasureT.potential``,
+    and so is each step of the search.
     """
     if grid_n < 256:
         raise DomainError("grid_n must be at least 256")
     if isinstance(rho, EmpiricalMeasure):
         return _height_empirical(rho, grid_n)
 
-    def potential(xs):
-        return np.array([rho.potential(x, spec) for x in xs])
-
     xs = (np.arange(grid_n) + 0.5) / grid_n - 0.5
     dirac_pos = np.array([a for a, _ in rho.diracs]) if rho.diracs else np.empty(0)
     if dirac_pos.size:
         dist = np.abs(_canonical_array(xs[:, None] - dirac_pos[None, :]))
         xs = xs[dist.min(axis=1) > 1e-12]
-    vals = potential(xs)
+    vals = rho.potential(xs)
     k = int(np.argmin(vals))
-    x, v = golden_min(potential, xs[k] - 1.0 / grid_n, xs[k] + 1.0 / grid_n, 1e-10)
+    x, v = golden_min(rho.potential, xs[k] - 1.0 / grid_n, xs[k] + 1.0 / grid_n, 1e-10)
     if v[0] < vals[k]:
         return -v[0], canonical_angle(x[0])
     return -vals[k], canonical_angle(xs[k])
@@ -798,8 +908,7 @@ def _nearest_atom_distance(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
                       np.abs(_canonical_array(xs - theta[right])))
 
 
-def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024) -> float:
     """height / discrepancy**alpha for a circle probability measure."""
     if isinstance(rho, EmpiricalMeasure):
         d, _ = discrepancy_empirical(rho)
@@ -807,7 +916,7 @@ def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024,
         d, _ = discrepancy_mixed(rho)
     if d <= 0.0:
         raise ZeroDiscrepancy("discrepancy vanishes; ratio undefined")
-    h, _ = height_T(rho, grid_n, spec)
+    h, _ = height_T(rho, grid_n)
     return h / d**alpha
 
 

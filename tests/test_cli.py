@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from etlab.cli import _print_json, run
 
@@ -193,6 +195,24 @@ class TestUsage:
     def test_missing_required_exit_2(self, capsys):
         assert run(["phi", "--L", "0"]) == 2
 
+    @pytest.mark.parametrize("precision", ["-3", "0", "18", "six"])
+    def test_bad_precision_rejected_before_the_command_runs(self, capsys, monkeypatch,
+                                                             precision):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr("etlab.discretize.sharpness_pipeline", never)
+        code = run(["--precision", precision, "sharpness", "--m", "0.05", "--n", "1024",
+                    "--q", "1024"])
+        assert code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    def test_precision_range_edges(self, capsys):
+        for precision in ("1", "17"):
+            code, out, _ = invoke(capsys, "--precision", precision, "phi", "--L", "0",
+                                  "--R", "1.8102")
+            assert code == 0 and math.isfinite(float(out))
+
     def test_seed_flag_is_gone(self, capsys):
         assert run(["--seed", "1", "table1"]) == 2
 
@@ -200,3 +220,115 @@ class TestUsage:
         with pytest.raises(ValueError):
             _print_json({"residual": float("nan")}, 6)
         assert capsys.readouterr().out == ""
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+# Documents for the fuzz below: well-formed ones with finite values, so that
+# the commands run to the end, the same with one entry replaced by junk or
+# dropped, ones built from non-finite values and wrong shapes, and junk.
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308])
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.just([]), st.just({}),
+                 st.lists(st.floats(-2.0, 2.0), max_size=3), SPECIAL)
+REAL = st.one_of(st.floats(-2.0, 2.0), SPECIAL)
+PAIR = st.one_of(st.lists(REAL, min_size=2, max_size=2), st.lists(REAL, max_size=3), JUNK)
+
+
+def _mutate(doc: dict, pick: int, drop: bool, junk):
+    key = sorted(doc)[pick % len(doc)]
+    out = dict(doc)
+    if drop:
+        del out[key]
+    else:
+        out[key] = junk
+    return out
+
+
+def _documents(valid, broken):
+    return st.one_of(valid, st.builds(_mutate, valid, st.integers(0, 9), st.booleans(), JUNK),
+                     broken, JUNK)
+
+
+def _pairs(x, y, **size):
+    return st.lists(st.tuples(x, y).map(list), **size)
+
+
+POLY_DOCS = _documents(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"roots": _pairs(st.floats(0.2, 2.0), st.floats(-1.0, 1.0), min_size=1, max_size=5)},
+            optional={"leading": st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0)).map(list)}),
+        st.fixed_dictionaries(
+            {"coeffs": _pairs(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), min_size=2,
+                              max_size=6)})),
+    st.fixed_dictionaries({}, optional={"roots": st.lists(PAIR, max_size=4), "leading": PAIR,
+                                        "coeffs": st.lists(PAIR, max_size=4)}))
+SCENARIO_DOCS = _documents(
+    st.fixed_dictionaries(
+        {"M": st.floats(-1.0, 1.0), "m": st.floats(0.0, 0.4),
+         "n_cells": st.sampled_from([16, 32, 64]), "iters": st.integers(1, 20)},
+        optional={"mass": st.floats(0.0, 1.5), "tol": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({k: st.one_of(REAL, JUNK)
+                           for k in ("M", "m", "mass", "n_cells", "iters", "tol")}))
+FAMILY_PARAMS = {
+    "TypeI_T": st.fixed_dictionaries({"m": st.floats(0.0, 0.6)}),
+    "TypeII_T": st.fixed_dictionaries(
+        {"M": st.floats(0.0, 0.5), "R": st.floats(0.0, 0.5), "L": st.floats(0.0, 0.5)}),
+    "Periodized": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["I", "II", "III", "IV"]), "lambda": st.floats(0.0, 1.0),
+         "R": st.floats(0.5, 3.0), "L": st.floats(0.0, 1.0)}),
+    "GridBacked": st.lists(st.floats(0.1, 2.0), min_size=1, max_size=32).map(
+        lambda v: {"values": [x * len(v) / sum(v) for x in v]}),
+    "UniformPlus": _pairs(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), min_size=1,
+                          max_size=3).map(lambda cs: {"cos": [c for c, _ in cs],
+                                                      "sin": [s for _, s in cs]}),
+}
+MEASURE_DOCS = _documents(
+    st.one_of(*[params.map(lambda p, tag=tag: {"diracs": [], "even": True,
+                                               "family": {"tag": tag, "params": p}})
+                for tag, params in FAMILY_PARAMS.items()]),
+    st.fixed_dictionaries({}, optional={
+        "diracs": st.one_of(st.lists(PAIR, max_size=2), JUNK),
+        "family": st.fixed_dictionaries(
+            {"tag": st.one_of(st.sampled_from(sorted(FAMILY_PARAMS)), JUNK)},
+            optional={"params": st.dictionaries(
+                st.sampled_from(["m", "M", "R", "L", "kind", "lambda", "values", "cos", "sin"]),
+                st.one_of(REAL, st.lists(REAL, max_size=4), JUNK))}),
+        "atoms": st.one_of(st.lists(PAIR, max_size=3), JUNK),
+        "even": JUNK, "total": REAL}))
+
+
+class TestDocumentFuzz:
+    """Any document gives exit 0, 1 or 2; a rejected one prints nothing on
+    stdout, an accepted one ends stdout with a line of strict JSON."""
+
+    def run_doc(self, tmp_path, capsys, command, doc, *extra):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, command, str(path), *extra)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+        else:
+            payload = json.loads(out.strip().split("\n")[-1], parse_constant=_reject_constant)
+            assert isinstance(payload, dict)
+
+    fuzz = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @fuzz
+    @given(doc=POLY_DOCS)
+    def test_check_poly(self, tmp_path, capsys, doc):
+        self.run_doc(tmp_path, capsys, "check-poly", doc)
+
+    @fuzz
+    @given(doc=SCENARIO_DOCS)
+    def test_simulate_scenario(self, tmp_path, capsys, doc):
+        self.run_doc(tmp_path, capsys, "simulate", doc, "--out", str(tmp_path / "final.csv"))
+
+    @fuzz
+    @given(doc=MEASURE_DOCS)
+    def test_ganelius_measure(self, tmp_path, capsys, doc):
+        self.run_doc(tmp_path, capsys, "ganelius", doc, "--grid-n", "256")
