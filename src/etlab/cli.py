@@ -60,11 +60,15 @@ def _print_json(obj, precision: int, summary: str | None = None) -> None:
 def _load(path: str, build):
     """``build`` applied to the JSON document at ``path``.  A document of the
     wrong shape (not an object, a scalar where a pair belongs, a missing
-    entry of a pair) is bad input like a bad value."""
+    entry of a pair, a missing key) is bad input like a bad value."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
         return build(doc)
+    except KeyError as exc:
+        key = exc.args[0]
+        what = f"key {key!r}" if isinstance(key, str) else f"entry {key!r}"
+        raise EtLabError(f"malformed document: missing {what}") from exc
     except (TypeError, IndexError, AttributeError) as exc:
         raise EtLabError(f"malformed document: {exc}") from exc
 

@@ -117,7 +117,7 @@ def make_admissible(R: float | None, lam: float = 1.0,
     """
     if R is None:
         return AdmissibleDistR("I", lam)
-    if R <= 1.0:
+    if not R > 1.0:
         raise DomainError(f"need R > 1, got {R}")
     rc = r_critical()
     if R >= rc:

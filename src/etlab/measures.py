@@ -13,12 +13,15 @@ The functionals:
 * ``g_ratio``         height / discrepancy**alpha
 * ``h_tilde/d_tilde/g_tilde``   the line-side analogues on AdmissibleDistR
 
-Potentials: ``EmpiricalMeasure.potential`` is an exact kernel sum.
-``MixedMeasureT.potential`` takes a scalar or an array and evaluates all
-targets in one pass: W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy on fixed
-nodes graded toward the density's kinks, with a rule graded toward x on the
-panels next to it (``_density_potential``).  ``height_T`` samples its whole
-grid in one such call.
+Potentials: ``EmpiricalMeasure.potential`` takes a scalar or an array; it
+sums the atoms of the target's box and its two neighbours exactly and every
+other box through a Chebyshev far field on one level of boxes (``_BoxField``),
+within about 1e-15 of the plain kernel sum.  ``MixedMeasureT.potential``
+takes a scalar or an array and evaluates all targets in one pass:
+W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy on fixed nodes graded toward
+the density's kinks, with a rule graded toward x on the panels next to it
+(``_density_potential``).  ``height_T`` samples its whole grid in one such
+call.
 """
 
 from __future__ import annotations
@@ -152,15 +155,124 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(_canonical_array(self.angles + phi), self.weights.copy())
 
     def potential(self, x) -> np.ndarray | float:
-        """(W * rho)(x) as an exact kernel sum; +inf at the atoms."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        # chunk the outer product to bound memory on large atom sets
-        block = max(1, int(4e6 // max(self.n_atoms, 1)))
-        for i in range(0, xs.size, block):
-            diff = xs[i:i + block, None] - self.angles[None, :]
-            out[i:i + block] = kernel_T(diff) @ self.weights
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        """(W * rho)(x) at a scalar or at every point of an array; +inf
+        exactly at an atom.
+
+        The atoms of the target's box and its two neighbours are summed
+        exactly; all other boxes reach it through a Chebyshev far field built
+        once per measure (``_BoxField``), to within about 1e-15 of the plain
+        kernel sum.
+        """
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        field = self._box_field
+        s = (flat + 0.5) % 1.0 * field.n_boxes  # in [0, B) for finite x
+        box = np.nan_to_num(s).astype(np.int64)
+        u = 2.0 * (s - box) - 1.0               # position in the box, in [-1, 1]
+        far = (_chebyshev_T(u) * field.coef[box].T).sum(axis=0)
+        near = _near_sum(self.angles, self.weights, flat,
+                         field.near_lo[box], field.near_len[box])
+        out = near + far
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    @cached_property
+    def _box_field(self) -> "_BoxField":
+        return _BoxField.build(self.angles, self.weights)
+
+
+# The potential of weighted atoms, one level of the black-box fast multipole
+# method (Fong & Darve, J. Comput. Phys. 228, 2009).  [-1/2, 1/2) splits into
+# B equal boxes, B the largest power of two not above n / _BOX_ATOMS for n
+# atoms (1 for fewer than 2 * _BOX_ATOMS atoms).  A target sums the atoms of
+# its own box and of its two neighbours exactly.  Boxes two or more away reach
+# it through _CHEB_NODES Chebyshev nodes per box: the weights of each box are
+# anterpolated onto its nodes, the kernel between the nodes of boxes b and c
+# depends on (b - c) mod B only, so every far box is summed in one FFT
+# convolution over the box index, and the target interpolates from the nodes
+# of its own box.  With B <= 2 no box is far and the sum is exact.  A far pair
+# is at least one box width apart, so interpolation in each variable converges
+# like (3 + sqrt 8)**-p: 5e-16 at p = 20.
+_BOX_ATOMS = 16
+_CHEB_NODES = 20
+_CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+
+
+def _chebyshev_T(u: np.ndarray) -> np.ndarray:
+    """T_0(u), ..., T_{p-1}(u) for p = _CHEB_NODES: one row per degree."""
+    t = np.empty((_CHEB_NODES, u.size))
+    t[0] = 1.0
+    t[1] = u
+    for j in range(2, _CHEB_NODES):
+        t[j] = 2.0 * u * t[j - 1] - t[j - 2]
+    return t
+
+
+@lru_cache(maxsize=None)
+def _far_transfer(n_boxes: int) -> np.ndarray:
+    """rfft over the box offset d of the node-to-node kernel
+    W((d + (t_k - t_l) / 2) / B), zero for the near offsets d = -1, 0, 1."""
+    t = _CHEB_POINTS
+    d = np.arange(n_boxes)
+    far = np.minimum(d, n_boxes - d) >= 2
+    k = np.zeros((n_boxes, _CHEB_NODES, _CHEB_NODES))
+    k[far] = kernel_T((d[far, None, None] + 0.5 * (t[:, None] - t[None, :])) / n_boxes)
+    out = np.fft.rfft(k, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _BoxField:
+    """The boxes of a sorted atom set and the far field in each box."""
+
+    n_boxes: int
+    near_lo: np.ndarray   # index of the first atom of boxes b - 1, b, b + 1
+    near_len: np.ndarray  # their atom count, at most the number of atoms
+    coef: np.ndarray      # Chebyshev coefficients of the far potential, per box
+
+    @classmethod
+    def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
+        n = angles.size
+        n_boxes = 1 << max(0, (n // _BOX_ATOMS).bit_length() - 1)
+        s = (angles + 0.5) * n_boxes
+        box = np.minimum(s.astype(np.int64), n_boxes - 1)  # ascending, as the atoms
+        start = np.searchsorted(box, np.arange(n_boxes + 1))
+        count = np.diff(start)
+        prev, nxt = np.roll(np.arange(n_boxes), 1), np.roll(np.arange(n_boxes), -1)
+        # q[j, k] = alpha_j T_j(t_k): the interpolant through values v_k at
+        # the nodes t_k is sum_j T_j(u) (q @ v)_j
+        q = _chebyshev_T(_CHEB_POINTS) * (2.0 / _CHEB_NODES)
+        q[0] *= 0.5
+        moments = np.zeros((n_boxes, _CHEB_NODES))
+        np.add.at(moments, box, (_chebyshev_T(2.0 * (s - box) - 1.0) * weights).T)
+        at_nodes = np.fft.irfft(
+            np.einsum("fkl,fl->fk", _far_transfer(n_boxes), np.fft.rfft(moments @ q, axis=0)),
+            n=n_boxes, axis=0)
+        return cls(n_boxes, start[prev],
+                   np.minimum(n, count[prev] + count + count[nxt]), at_nodes @ q.T)
+
+
+def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
+              lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Exact kernel sum at each x over the atoms lo, ..., lo + length - 1
+    (indices mod the atom count).
+
+    Targets go through in blocks of about ``_BLOCK_DOUBLES`` pairs; a target
+    with a longer window takes a block of its own.
+    """
+    out = np.empty(xs.size)
+    ends = np.cumsum(length)
+    i = 0
+    while i < xs.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - length[i] + _BLOCK_DOUBLES,
+                                           side="right")))
+        size = length[i:j]
+        first = np.cumsum(size) - size
+        idx = (np.arange(first[-1] + size[-1]) + np.repeat(lo[i:j] - first, size)) % angles.size
+        vals = kernel_T(np.repeat(xs[i:j], size) - angles[idx]) * weights[idx]
+        out[i:j] = np.bincount(np.repeat(np.arange(j - i), size), vals, minlength=j - i)
+        i = j
+    return out
 
 
 def _check_probability(rho: EmpiricalMeasure) -> None:
@@ -385,20 +497,24 @@ class AdmissibleDistR:
     def __post_init__(self) -> None:
         if self.kind not in ("I", "II", "III"):
             raise DomainError(f"kind must be 'I', 'II' or 'III', got {self.kind!r}")
-        if not self.lam > 0.0:
-            raise DomainError("scaling factor must be positive")
+        if not (self.lam > 0.0 and math.isfinite(self.lam * self.lam)):
+            raise DomainError(
+                f"scaling factor must be positive with a finite square, got {self.lam}")
         if self.kind == "I":
             if self.R is not None or self.L is not None:
                 raise DomainError("kind I takes no R or L")
             object.__setattr__(self, "m", 1.0)
             return
-        if self.R is None or self.R <= 1.0:
-            raise DomainError("kinds II/III require R > 1")
+        if self.R is None or not 1.0 < self.R < math.inf:
+            raise DomainError(f"kinds II/III require a finite R > 1, got {self.R}")
         L = 0.0 if self.kind == "II" else self.L
         if self.kind == "III" and (L is None or not (0.0 < L < 1.0)):
             raise DomainError("kind III requires 0 < L < 1")
         object.__setattr__(self, "L", L)
-        m = math.pi * math.sqrt((self.R**2 - 1.0) * (1.0 - L**2)) / 2.0
+        try:
+            m = math.pi * math.sqrt((self.R**2 - 1.0) * (1.0 - L**2)) / 2.0
+        except OverflowError:
+            raise DomainError(f"R = {self.R} gives a Dirac mass that is not finite") from None
         if self.m is not None and abs(self.m - m) > 1e-9 * max(1.0, m):
             raise DomainError("Dirac mass inconsistent with (R, L)")
         object.__setattr__(self, "m", m)

@@ -88,6 +88,21 @@ class TestCheckPoly:
         assert out == ""
 
 
+class TestMissingKeys:
+    @pytest.mark.parametrize("cmd, doc, message", [
+        ("ganelius", {"diracs": [], "family": {"tag": "GridBacked", "params": {}}},
+         "malformed document: missing key 'values'"),
+        ("check-poly", {"roots": [{"modulus": 1.0, "angle": 0.25}]},
+         "malformed document: missing entry 0"),
+    ])
+    def test_missing_key_is_named(self, capsys, tmp_path, cmd, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, cmd, str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: {message}"
+
+
 class TestExtremalCmd:
     def test_kind2_report(self, capsys):
         code, out, _ = invoke(capsys, "extremal", "--kind", "2", "--R", "2.0")
@@ -177,6 +192,26 @@ class TestGaneliusCmd:
         path.write_text(json.dumps(doc))
         code, _, err = invoke(capsys, "ganelius", str(path))
         assert code == 2
+
+
+class TestNonFiniteScale:
+    @pytest.mark.parametrize("argv, message", [
+        (("extremal", "--kind", "2", "--R", "1e300"), "Dirac mass that is not finite"),
+        (("extremal", "--kind", "2", "--R", "inf"), "finite R > 1"),
+        (("extremal", "--kind", "3", "--R", "nan"), "need R > 1"),
+        (("extremal", "--kind", "1", "--lambda", "inf"), "scaling factor"),
+        (("extremal", "--kind", "1", "--lambda", "nan"), "scaling factor"),
+        (("extremal", "--kind", "2", "--R", "2", "--lambda", "1e300"), "scaling factor"),
+        (("periodize", "--R", "1e300"), "Dirac mass that is not finite"),
+        (("periodize", "--R", "inf"), "finite R > 1"),
+        (("periodize", "--R", "nan"), "need R > 1"),
+        (("periodize", "--lambda", "inf"), "scaling factor"),
+        (("periodize", "--R", "2", "--lambda", "nan"), "scaling factor"),
+    ])
+    def test_rejected_with_exit_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestPeriodizeCmd:

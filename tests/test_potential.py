@@ -1,8 +1,10 @@
-"""The batched potential of mixed measures against independent oracles.
+"""The potential engines against independent oracles.
 
 ``potential_oracle`` is the per-point graded quadrature that
 ``MixedMeasureT.potential`` ran before it was batched: one adaptive rule per
 density piece and per target, graded toward the target and the piece ends.
+``dense_potential`` is the plain kernel sum over every (target, atom) pair
+that ``EmpiricalMeasure.potential`` ran before its box far field.
 """
 
 import math
@@ -10,11 +12,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etlab import kernels
+from etlab import kernels, measures
+from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.kernels import TIGHT_SPEC, kernel_T
 from etlab.measures import (
+    EmpiricalMeasure,
     GridBackedDensity,
     MixedMeasureT,
     UniformPlusDensity,
@@ -161,3 +167,165 @@ def test_grid_backed_against_clausen_closed_form(values):
     inside = [0.3, -0.37, 0.123]
     for x in edges + near_edges + inside:
         assert rho.potential(x) == pytest.approx(_grid_potential_exact(values, x), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Weighted atoms: the box far field against the dense kernel sum
+# ---------------------------------------------------------------------------
+
+
+def dense_potential(rho: EmpiricalMeasure, x) -> np.ndarray:
+    """Sum of w_i W(x - a_i) over every atom, in blocks of the outer product."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xs)
+    block = max(1, int(4e6 // max(rho.n_atoms, 1)))
+    for i in range(0, xs.size, block):
+        out[i:i + block] = kernel_T(xs[i:i + block, None] - rho.angles[None, :]) @ rho.weights
+    return out
+
+
+def _atom_set(kind: str, n: int, seed: int) -> EmpiricalMeasure:
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        grid = n + int(rng.integers(0, n))
+        angles = rng.choice(grid, size=n, replace=False) / grid - 0.5
+    elif kind == "moved":
+        # a lattice atom moved to a point of its cell, as slab midpoints are
+        angles = (np.arange(n) + rng.random(n)) / n - 0.5
+    elif kind == "random":
+        angles = rng.random(n) - 0.5
+    elif kind == "crowded":
+        angles = rng.random() - 0.5 + 0.02 * rng.random(n)
+    elif kind == "few":
+        angles = rng.random(min(n, 4 * measures._BOX_ATOMS)) - 0.5
+    else:  # "edges": atoms at -1/2 and just below 1/2, the rest random
+        angles = np.concatenate(([-0.5, np.nextafter(0.5, 0.0), 0.5 - 1e-15],
+                                 rng.random(n) - 0.5))
+    weights = rng.random(angles.size) + 0.1
+    return EmpiricalMeasure(angles, weights / weights.sum())
+
+
+ATOM_KINDS = ["lattice", "moved", "random", "crowded", "few", "edges"]
+
+
+def _atom_targets(rho: EmpiricalMeasure) -> np.ndarray:
+    """Grid, gap midpoints, box edges, points next to the seam and next to
+    atoms, and shifted copies outside [-1/2, 1/2)."""
+    theta = rho.angles
+    n_boxes = rho._box_field.n_boxes
+    inside = np.concatenate((
+        (np.arange(512) + 0.5) / 512 - 0.5,
+        _canonical_array(theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0)),
+        np.arange(n_boxes) / n_boxes - 0.5,
+        [-0.5, np.nextafter(-0.5, 0.0), np.nextafter(0.5, 0.0), 0.5 - 1e-12],
+        _canonical_array(theta[::7] + 1e-9)))
+    return np.concatenate((inside, inside[::5] + 1.0, inside[::5] - 3.0))
+
+
+def _assert_matches_dense(rho: EmpiricalMeasure, xs: np.ndarray, tol: float = 1e-13):
+    got, want = rho.potential(xs), dense_potential(rho, xs)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.isfinite(got[finite]))
+    assert np.max(np.abs(got[finite] - want[finite])) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(ATOM_KINDS), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_atoms_match_dense_sum(kind, n, seed):
+    rho = _atom_set(kind, n, seed)
+    _assert_matches_dense(rho, _atom_targets(rho))
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+def test_each_atom_set_matches_dense_sum(kind):
+    rho = _atom_set(kind, 2500, 7)
+    _assert_matches_dense(rho, _atom_targets(rho))
+
+
+@pytest.mark.parametrize("m, n, q", [(0.05, 1024, 1024), (0.1, 256, 1024)])
+def test_sharpness_stages_match_dense_sum(m, n, q):
+    """The discrete stage sits on the j/n lattice, the rational stage on
+    slab midpoint quantiles off it."""
+    rho_n = discretize_measure(rho_type1(m), n)
+    rho_q = move_to_slab_midpoints(rationalize(rho_n, q), q)
+    for rho in (rho_n, rho_q):
+        assert rho._box_field.n_boxes >= 8
+        _assert_matches_dense(rho, _atom_targets(rho))
+
+
+def test_infinite_exactly_at_atoms_across_the_seam():
+    rho = _atom_set("edges", 300, 3)
+    assert np.all(rho.potential(rho.angles) == np.inf)
+    assert rho.potential(-0.5) == math.inf
+    assert rho.potential(0.5) == math.inf  # the same point as -1/2
+    near = rho.potential(np.array([0.5 - 1e-9, -0.5 + 1e-9]))
+    assert np.all(np.isfinite(near))
+
+
+def test_fewer_atoms_than_five_boxes_need_is_the_plain_sum():
+    rho = _atom_set("few", 60, 11)
+    assert rho._box_field.n_boxes <= 2
+    assert not np.any(rho._box_field.coef)
+    _assert_matches_dense(rho, _atom_targets(rho))
+    empty = EmpiricalMeasure(np.empty(0), np.empty(0))
+    assert empty.potential(0.25) == 0.0
+
+
+def test_against_mpmath_at_30_digits():
+    rho = _atom_set("random", 700, 5)
+    assert rho._box_field.n_boxes == 32
+    with mpmath.workdps(30):
+        for x in (0.123456789, -0.4999, 0.5 - 1.0 / 64):
+            want = mpmath.fsum(mpmath.mpf(float(w)) * -mpmath.log(abs(
+                2 * mpmath.sin(mpmath.pi * (mpmath.mpf(x) - mpmath.mpf(float(a))))))
+                for a, w in zip(rho.angles, rho.weights))
+            assert abs(rho.potential(x) - float(want)) <= 1e-13
+
+
+def test_scalar_and_shape_contract():
+    rho = _atom_set("random", 500, 9)
+    xs = np.linspace(-0.7, 0.7, 12)
+    assert isinstance(rho.potential(0.1), float)
+    assert isinstance(rho.potential(np.float64(0.1)), float)
+    assert isinstance(rho.potential(np.array(0.1)), float)
+    assert rho.potential(xs).shape == (12,)
+    assert rho.potential(xs.reshape(3, 4)).shape == (3, 4)
+    assert np.array_equal(rho.potential(xs.reshape(3, 4)).ravel(), rho.potential(xs))
+    assert rho.potential(np.empty(0)).shape == (0,)
+    single = np.array([rho.potential(float(x)) for x in xs])
+    assert np.max(np.abs(single - rho.potential(xs))) <= 1e-14
+
+
+def test_atoms_bitwise_reproducible_and_cached(monkeypatch):
+    builds = []
+    build = measures._BoxField.build
+    monkeypatch.setattr(measures._BoxField, "build",
+                        classmethod(lambda cls, *args: builds.append(1) or build(*args)))
+    a, b = _atom_set("moved", 2000, 13), _atom_set("moved", 2000, 13)
+    xs = _atom_targets(a)
+    first = a.potential(xs)
+    assert np.array_equal(first, a.potential(xs))
+    assert np.array_equal(first, b.potential(xs))
+    assert height_T(a, 1024) == height_T(b, 1024)
+    assert len(builds) == 2  # once per measure, not per call of the search
+
+
+def test_cost_is_the_number_of_near_pairs(monkeypatch):
+    """On a crowded set, kernel evaluations are the near pairs of each
+    target, not targets times the longest window."""
+    rho = _atom_set("crowded", 3000, 17)
+    xs = _atom_targets(rho)
+    field = rho._box_field
+    s = (xs + 0.5) % 1.0 * field.n_boxes
+    near_pairs = int(field.near_len[s.astype(np.int64)].sum())
+    evals = []
+
+    def counting(x):
+        evals.append(np.size(x))
+        return kernel_T(x)
+
+    monkeypatch.setattr(measures, "kernel_T", counting)
+    rho.potential(xs)
+    assert sum(evals) == near_pairs
+    assert near_pairs < xs.size * field.near_len.max()
