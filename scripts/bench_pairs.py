@@ -4,17 +4,17 @@ pairs, and write every run and its summary to one JSON file.
 
 Usage: python scripts/bench_pairs.py --parent DIR --out BENCH_N.json
        [--workloads sharpness_chain poly_corpus ...] [--seeds 601 701 ...]
-       [--pairs 10] [--seconds 20] [--trace-seed 401] [--named NAME ...]
-       [--what TEXT]
+       [--pairs 10] [--trace-seed 401] [--what TEXT]
 
 DIR is a checkout of the parent commit, for example one unpacked with
 ``git archive <rev> | tar -x -C DIR``.  Each workload takes its first seed
 from --seeds (one per workload); pair i runs seed + i - 1 on both sides, and
-odd pairs run the parent first.  The summary gives, per end-to-end metric,
+odd pairs run the parent first; every run lasts the ``run_seconds`` of
+BENCHMARK.json.  The summary gives, per end-to-end metric,
 each side's median, quartiles and extremes, the number of pairs the change
 won (ties count for neither side) and the ratio of the medians, change over
 parent.  With --trace-seed, each workload also runs once per side with
---trace 1, and the per-layer metrics named by --named are set side by side.
+--trace 1, and every per-layer metric of both sides is kept.
 The file is rewritten after every pair, so an interrupted run keeps what it
 measured.  Exit code 0 when every run finished, 1 when one failed.
 """
@@ -76,9 +76,7 @@ def main() -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=None,
                     help="first seed of each workload (default 100 k + 1 for the k-th)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace-seed", type=int, default=None)
-    ap.add_argument("--named", nargs="*", default=[])
     ap.add_argument("--what", default="")
     args = ap.parse_args()
     seeds = args.seeds or [100 * (k + 1) + 1 for k in range(len(args.workloads))]
@@ -89,9 +87,10 @@ def main() -> int:
     if not (args.parent / "perfbench" / "run.py").is_file():
         ap.error(f"{args.parent} holds no perfbench/run.py")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    cmd = f"python3 perfbench/run.py --workload W --seed {{}} --seconds {args.seconds:g}"
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    cmd = f"python3 perfbench/run.py --workload W --seed {{}} --seconds {seconds:g}"
     cmd += " --trace {}"
     doc = {"what": args.what,
            "command_traced": cmd.format(args.trace_seed, 1),
@@ -107,7 +106,7 @@ def main() -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    detail, res = _run(sides[side], workload, first + i, args.seconds, 0)
+                    detail, res = _run(sides[side], workload, first + i, seconds, 0)
                     runs[side].append({
                         "seed": first + i, "correct": res["correct"], "failed": res["failed"],
                         "attempted": res["attempted"], "digest": detail["digest"][:16],
@@ -119,12 +118,9 @@ def main() -> int:
             if args.trace_seed is not None:
                 traced = {}
                 for side in ("parent", "change"):
-                    detail, res = _run(sides[side], workload, args.trace_seed, args.seconds, 1)
+                    detail, res = _run(sides[side], workload, args.trace_seed, seconds, 1)
                     traced[side] = {**{k: res[k] for k in ("correct", "attempted", "failed")},
                                     "metrics": {k: v["value"] for k, v in res["metrics"].items()}}
-                traced["named_counts"] = {name: [traced[s]["metrics"][name]
-                                                 for s in ("parent", "change")]
-                                          for name in args.named}
                 traced["machine"] = detail["machine"]
                 doc["per_layer"][workload] = traced
                 save()

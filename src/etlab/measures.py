@@ -27,6 +27,7 @@ call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -161,7 +162,9 @@ class EmpiricalMeasure:
         The atoms of the target's box and its two neighbours are summed
         exactly; all other boxes reach it through a Chebyshev far field built
         once per measure (``_BoxField``), to within about 1e-15 of the plain
-        kernel sum.
+        kernel sum.  The near pairs go in blocks and the far field is
+        interpolated by Clenshaw's recurrence, so the temporaries are a few
+        doubles per target.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
@@ -169,7 +172,7 @@ class EmpiricalMeasure:
         s = (flat + 0.5) % 1.0 * field.n_boxes  # in [0, B) for finite x
         box = np.nan_to_num(s).astype(np.int64)
         u = 2.0 * (s - box) - 1.0               # position in the box, in [-1, 1]
-        far = (_chebyshev_T(u) * field.coef[box].T).sum(axis=0)
+        far = _clenshaw(field.coef, box, u)
         near = _near_sum(self.angles, self.weights, flat,
                          field.near_lo[box], field.near_len[box])
         out = near + far
@@ -207,6 +210,17 @@ def _chebyshev_T(u: np.ndarray) -> np.ndarray:
     return t
 
 
+def _clenshaw(coef: np.ndarray, box: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j coef[j, box] T_j(u) elementwise, by Clenshaw's recurrence; the
+    temporaries are a few arrays the size of u."""
+    b1 = np.zeros(u.size)
+    b2 = np.zeros(u.size)
+    u2 = 2.0 * u
+    for j in range(_CHEB_NODES - 1, 0, -1):
+        b1, b2 = coef[j][box] + u2 * b1 - b2, b1
+    return coef[0][box] + u * b1 - b2
+
+
 @lru_cache(maxsize=None)
 def _far_transfer(n_boxes: int) -> np.ndarray:
     """rfft over the box offset d of the node-to-node kernel
@@ -228,7 +242,7 @@ class _BoxField:
     n_boxes: int
     near_lo: np.ndarray   # index of the first atom of boxes b - 1, b, b + 1
     near_len: np.ndarray  # their atom count, at most the number of atoms
-    coef: np.ndarray      # Chebyshev coefficients of the far potential, per box
+    coef: np.ndarray      # coef[j, b]: degree-j Chebyshev coefficient of the far field in box b
 
     @classmethod
     def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
@@ -243,13 +257,20 @@ class _BoxField:
         # the nodes t_k is sum_j T_j(u) (q @ v)_j
         q = _chebyshev_T(_CHEB_POINTS) * (2.0 / _CHEB_NODES)
         q[0] *= 0.5
-        moments = np.zeros((n_boxes, _CHEB_NODES))
-        np.add.at(moments, box, (_chebyshev_T(2.0 * (s - box) - 1.0) * weights).T)
+        # moments[b, j] = sum of w T_j(u) over the atoms of box b, one degree
+        # at a time so the temporaries stay the size of the atom set
+        u = 2.0 * (s - box) - 1.0
+        moments = np.empty((n_boxes, _CHEB_NODES))
+        t_prev, t = np.ones(n), u
+        moments[:, 0] = np.bincount(box, weights, minlength=n_boxes)
+        for j in range(1, _CHEB_NODES):
+            moments[:, j] = np.bincount(box, weights * t, minlength=n_boxes)
+            t_prev, t = t, 2.0 * u * t - t_prev
         at_nodes = np.fft.irfft(
             np.einsum("fkl,fl->fk", _far_transfer(n_boxes), np.fft.rfft(moments @ q, axis=0)),
             n=n_boxes, axis=0)
-        return cls(n_boxes, start[prev],
-                   np.minimum(n, count[prev] + count + count[nxt]), at_nodes @ q.T)
+        return cls(n_boxes, start[prev], np.minimum(n, count[prev] + count + count[nxt]),
+                   np.ascontiguousarray(q @ at_nodes.T))
 
 
 def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
@@ -497,9 +518,12 @@ class AdmissibleDistR:
     def __post_init__(self) -> None:
         if self.kind not in ("I", "II", "III"):
             raise DomainError(f"kind must be 'I', 'II' or 'III', got {self.kind!r}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam * self.lam)):
+        # h_tilde scales as lam**2: a square that overflows, or underflows
+        # below the normal range, leaves g_tilde = h_tilde / d_tilde**2
+        # infinite, 0/0 or short of digits
+        if not (self.lam > 0.0 and sys.float_info.min <= self.lam * self.lam < math.inf):
             raise DomainError(
-                f"scaling factor must be positive with a finite square, got {self.lam}")
+                f"scaling factor must be positive with a normal, finite square, got {self.lam}")
         if self.kind == "I":
             if self.R is not None or self.L is not None:
                 raise DomainError("kind I takes no R or L")

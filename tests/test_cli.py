@@ -202,11 +202,15 @@ class TestNonFiniteScale:
         (("extremal", "--kind", "1", "--lambda", "inf"), "scaling factor"),
         (("extremal", "--kind", "1", "--lambda", "nan"), "scaling factor"),
         (("extremal", "--kind", "2", "--R", "2", "--lambda", "1e300"), "scaling factor"),
+        (("extremal", "--kind", "1", "--lambda", "1e-300"), "scaling factor"),
+        (("extremal", "--kind", "2", "--R", "2", "--lambda", "1e-160"), "scaling factor"),
         (("periodize", "--R", "1e300"), "Dirac mass that is not finite"),
         (("periodize", "--R", "inf"), "finite R > 1"),
         (("periodize", "--R", "nan"), "need R > 1"),
         (("periodize", "--lambda", "inf"), "scaling factor"),
         (("periodize", "--R", "2", "--lambda", "nan"), "scaling factor"),
+        (("periodize", "--lambda", "1e300"), "scaling factor"),
+        (("periodize", "--lambda", "1e-300"), "scaling factor"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)

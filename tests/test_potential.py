@@ -8,6 +8,7 @@ that ``EmpiricalMeasure.potential`` ran before its box far field.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -309,6 +310,22 @@ def test_atoms_bitwise_reproducible_and_cached(monkeypatch):
     assert np.array_equal(first, b.potential(xs))
     assert height_T(a, 1024) == height_T(b, 1024)
     assert len(builds) == 2  # once per measure, not per call of the search
+
+
+def test_temporaries_grow_as_a_few_arrays_per_target():
+    """The far field is interpolated by a recurrence and the near field runs
+    in blocks, so a long target array costs a few doubles per target, not
+    one per Chebyshev degree."""
+    rho = _atom_set("random", 4000, 3)
+    rho.potential(0.1)
+    xs = np.random.default_rng(1).random(200_000) - 0.5
+    tracemalloc.start()
+    try:
+        rho.potential(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * xs.size
 
 
 def test_cost_is_the_number_of_near_pairs(monkeypatch):
