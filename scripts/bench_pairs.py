@@ -12,9 +12,11 @@ from --seeds (one per workload); pair i runs seed + i - 1 on both sides, and
 odd pairs run the parent first; every run lasts the ``run_seconds`` of
 BENCHMARK.json.  The summary gives, per end-to-end metric,
 each side's median, quartiles and extremes, the number of pairs the change
-won (ties count for neither side) and the ratio of the medians, change over
-parent.  With --trace-seed, each workload also runs once per side with
---trace 1, and every per-layer metric of both sides is kept.
+won (ties count for neither side), the ratio of the medians, change over
+parent, the parent's quartile spread and a verdict (see ``_verdict``); each
+workload also records each side's failed share of its items.  With
+--trace-seed, each workload also runs once per side with --trace 1, and
+every per-layer metric of both sides is kept.
 The file is rewritten after every pair, so an interrupted run keeps what it
 measured.  Exit code 0 when every run finished, 1 when one failed.
 """
@@ -56,16 +58,45 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
-def _summary(runs: dict, better: dict) -> dict:
+def _verdict(par: dict, chg: dict, wins: int, pairs: int, lower: bool, bound: float) -> str:
+    """``better``: the change won at least 9 in 10 pairs and its median beats
+    the parent's by more than the parent's quartile spread.  ``worse``: its
+    median is worse than the parent's by more than ``bound`` (a fraction of
+    the parent's median).  ``unresolved``: the parent's spread exceeds
+    ``bound`` times its median and not every change run beats every parent
+    run.  ``no worse`` otherwise."""
+    sign = 1.0 if lower else -1.0
+    spread = par["q3"] - par["q1"]
+    if 10 * wins >= 9 * pairs and sign * (par["median"] - chg["median"]) > spread:
+        return "better"
+    if sign * (chg["median"] - par["median"]) > bound * par["median"]:
+        return "worse"
+    beats_all = chg["max"] < par["min"] if lower else chg["min"] > par["max"]
+    if spread > bound * par["median"] and not beats_all:
+        return "unresolved"
+    return "no worse"
+
+
+def _summary(runs: dict, metrics: dict) -> dict:
+    """Per end-to-end metric of ``metrics`` (name -> its BENCHMARK.json entry)."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        lower = metric["better"] == "lower"
         par = [r[name] for r in runs["parent"]]
         chg = [r[name] for r in runs["change"]]
-        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(par, chg))
-        out[name] = {"parent": _stats(par), "change": _stats(chg), "change_wins": wins,
-                     "pairs": len(chg),
-                     "median_ratio": statistics.median(chg) / statistics.median(par)}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        ps, cs = _stats(par), _stats(chg)
+        out[name] = {"parent": ps, "change": cs, "change_wins": wins, "pairs": len(chg),
+                     "median_ratio": cs["median"] / ps["median"],
+                     "parent_spread": ps["q3"] - ps["q1"],
+                     "verdict": _verdict(ps, cs, wins, len(chg), lower, metric["bound"])}
     return out
+
+
+def _failed_share(runs: dict) -> dict:
+    """failed / attempted items over all runs of each side."""
+    return {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+            for side, rs in runs.items()}
 
 
 def main() -> int:
@@ -89,7 +120,7 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     cmd = f"python3 perfbench/run.py --workload W --seed {{}} --seconds {seconds:g}"
     cmd += " --trace {}"
     doc = {"what": args.what,
@@ -110,8 +141,9 @@ def main() -> int:
                     runs[side].append({
                         "seed": first + i, "correct": res["correct"], "failed": res["failed"],
                         "attempted": res["attempted"], "digest": detail["digest"][:16],
-                        **{name: res["metrics"][name]["value"] for name in better}})
-                doc["end_to_end"][workload] = {"summary": _summary(runs, better), "runs": runs}
+                        **{name: res["metrics"][name]["value"] for name in metrics}})
+                doc["end_to_end"][workload] = {"summary": _summary(runs, metrics),
+                                               "failed_share": _failed_share(runs), "runs": runs}
                 save()
                 print(f"{workload} pair {i + 1}: " + ", ".join(
                     f"{s} {runs[s][-1]['wall_adj_s']:.3f} s" for s in order), flush=True)

@@ -13,15 +13,16 @@ The functionals:
 * ``g_ratio``         height / discrepancy**alpha
 * ``h_tilde/d_tilde/g_tilde``   the line-side analogues on AdmissibleDistR
 
-Potentials: ``EmpiricalMeasure.potential`` takes a scalar or an array; it
-sums the atoms of the target's box and its two neighbours exactly and every
-other box through a Chebyshev far field on one level of boxes (``_BoxField``),
-within about 1e-15 of the plain kernel sum.  ``MixedMeasureT.potential``
-takes a scalar or an array and evaluates all targets in one pass:
+Potentials take a scalar or an array.  One engine, ``_BoxField``, sums the
+kernel over weighted points: the points of the target's box and its two
+neighbours exactly, every other box through a Chebyshev far field on one
+level of boxes, within about 1e-15 of the plain kernel sum.
+``EmpiricalMeasure.potential`` sends its atoms through it.
+``MixedMeasureT.potential`` evaluates all targets in one pass:
 W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy on fixed nodes graded toward
-the density's kinks, with a rule graded toward x on the panels next to it
-(``_density_potential``).  ``height_T`` samples its whole grid in one such
-call.
+the density's kinks, which go through the engine with the weights (w rho, w),
+and a rule graded toward x on the panels next to it (``_density_potential``).
+``height_T`` samples its whole grid in one such call.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class EmpiricalMeasure:
         wts = np.asarray(self.weights, dtype=float)
         if ang.shape != wts.shape or ang.ndim != 1:
             raise ValueError("angles and weights must be 1-d arrays of equal length")
-        if np.any(wts <= 0.0):
-            raise DomainError("atom weights must be strictly positive")
+        if not np.all(np.isfinite(ang) & np.isfinite(wts) & (wts > 0.0)):
+            raise DomainError("atom angles must be finite and weights finite and strictly positive")
         order = np.argsort(ang, kind="stable")
         ang, wts = ang[order], wts[order]
         if ang.size:
@@ -167,54 +168,58 @@ class EmpiricalMeasure:
         doubles per target.
         """
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        field = self._box_field
-        s = (flat + 0.5) % 1.0 * field.n_boxes  # in [0, B) for finite x
-        box = np.nan_to_num(s).astype(np.int64)
-        u = 2.0 * (s - box) - 1.0               # position in the box, in [-1, 1]
-        far = _clenshaw(field.coef, box, u)
-        near = _near_sum(self.angles, self.weights, flat,
-                         field.near_lo[box], field.near_len[box])
-        out = near + far
+        out = self._box_field(xs.ravel())[:, 0]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     @cached_property
     def _box_field(self) -> "_BoxField":
-        return _BoxField.build(self.angles, self.weights)
+        return _BoxField.build(self.angles, self.weights[:, None])
 
 
-# The potential of weighted atoms, one level of the black-box fast multipole
-# method (Fong & Darve, J. Comput. Phys. 228, 2009).  [-1/2, 1/2) splits into
-# B equal boxes, B the largest power of two not above n / _BOX_ATOMS for n
-# atoms (1 for fewer than 2 * _BOX_ATOMS atoms).  A target sums the atoms of
-# its own box and of its two neighbours exactly.  Boxes two or more away reach
-# it through _CHEB_NODES Chebyshev nodes per box: the weights of each box are
-# anterpolated onto its nodes, the kernel between the nodes of boxes b and c
-# depends on (b - c) mod B only, so every far box is summed in one FFT
-# convolution over the box index, and the target interpolates from the nodes
-# of its own box.  With B <= 2 no box is far and the sum is exact.  A far pair
-# is at least one box width apart, so interpolation in each variable converges
-# like (3 + sqrt 8)**-p: 5e-16 at p = 20.
+# The kernel sum over weighted points (the atoms of an empirical measure, the
+# fixed nodes of a density), one level of the black-box fast multipole method
+# (Fong & Darve, J. Comput. Phys. 228, 2009).  [-1/2, 1/2) splits into B equal
+# boxes, B the largest power of two not above n / _BOX_ATOMS for n points (1
+# for fewer than 2 * _BOX_ATOMS).  A target sums the points of its own box and
+# of its two neighbours exactly.  Boxes two or more away reach it through
+# _CHEB_NODES Chebyshev nodes per box: the weights of each box are anterpolated
+# onto its nodes, the kernel between the nodes of boxes b and c depends on
+# (b - c) mod B only, so every far box is summed in one FFT convolution, and
+# the target interpolates from the nodes of its own box.  With B <= 2 no box
+# is far and the sum is exact.  A far pair is at least one box width apart, so
+# interpolation in each variable converges like (3 + sqrt 8)**-p: 5e-16 at
+# p = 20.  Every blocked kernel evaluation takes blocks of _BLOCK_DOUBLES
+# (128 KiB, glibc's default mmap threshold), which reuse heap memory.
 _BOX_ATOMS = 16
 _CHEB_NODES = 20
-_CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+_BLOCK_DOUBLES = 2**14
 
 
-def _chebyshev_T(u: np.ndarray) -> np.ndarray:
-    """T_0(u), ..., T_{p-1}(u) for p = _CHEB_NODES: one row per degree."""
-    t = np.empty((_CHEB_NODES, u.size))
-    t[0] = 1.0
-    t[1] = u
-    for j in range(2, _CHEB_NODES):
-        t[j] = 2.0 * u * t[j - 1] - t[j - 2]
-    return t
+def _cheb_nodes(n: int) -> np.ndarray:
+    return np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+
+
+def _cheb_fit(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from values at first-kind nodes."""
+    n = values.shape[0]
+    k = np.arange(n)
+    basis = np.cos(np.pi * np.outer(k, 2.0 * k + 1.0) / (2.0 * n))
+    coeffs = (2.0 / n) * basis @ values
+    coeffs[0] /= 2.0
+    return coeffs
+
+
+_CHEB_POINTS = _cheb_nodes(_CHEB_NODES)
+# q[j, k] = alpha_j cos(j theta_k) = alpha_j T_j(t_k): the interpolant through
+# values v_k at the nodes t_k = cos(theta_k) is sum_j T_j(u) (q @ v)_j
+_CHEB_FIT = _cheb_fit(np.eye(_CHEB_NODES))
 
 
 def _clenshaw(coef: np.ndarray, box: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j coef[j, box] T_j(u) elementwise, by Clenshaw's recurrence; the
-    temporaries are a few arrays the size of u."""
-    b1 = np.zeros(u.size)
-    b2 = np.zeros(u.size)
+    """sum_j coef[j, box] T_j(u) per target and column, by Clenshaw's
+    recurrence; the temporaries are a few arrays the size of the result."""
+    u = u[:, None]
+    b1 = b2 = np.zeros((u.size, coef.shape[2]))
     u2 = 2.0 * u
     for j in range(_CHEB_NODES - 1, 0, -1):
         b1, b2 = coef[j][box] + u2 * b1 - b2, b1
@@ -237,51 +242,67 @@ def _far_transfer(n_boxes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BoxField:
-    """The boxes of a sorted atom set and the far field in each box."""
+    """Weighted points sorted by angle, their boxes and the far field in each
+    box; calling it sums the kernel over the points at each target."""
 
+    angles: np.ndarray    # ascending, in [-1/2, 1/2)
+    weights: np.ndarray   # (n, c): c weights per point
     n_boxes: int
-    near_lo: np.ndarray   # index of the first atom of boxes b - 1, b, b + 1
-    near_len: np.ndarray  # their atom count, at most the number of atoms
-    coef: np.ndarray      # coef[j, b]: degree-j Chebyshev coefficient of the far field in box b
+    near_lo: np.ndarray   # index of the first point of boxes b - 1, b, b + 1
+    near_len: np.ndarray  # their point count, at most the number of points
+    coef: np.ndarray      # coef[j, b, col]: degree-j Chebyshev coefficient of the far field in box b
 
     @classmethod
     def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
-        n = angles.size
+        n, cols = weights.shape
         n_boxes = 1 << max(0, (n // _BOX_ATOMS).bit_length() - 1)
         s = (angles + 0.5) * n_boxes
-        box = np.minimum(s.astype(np.int64), n_boxes - 1)  # ascending, as the atoms
+        box = np.minimum(s.astype(np.int64), n_boxes - 1)  # ascending, as the points
         start = np.searchsorted(box, np.arange(n_boxes + 1))
         count = np.diff(start)
         prev, nxt = np.roll(np.arange(n_boxes), 1), np.roll(np.arange(n_boxes), -1)
-        # q[j, k] = alpha_j T_j(t_k): the interpolant through values v_k at
-        # the nodes t_k is sum_j T_j(u) (q @ v)_j
-        q = _chebyshev_T(_CHEB_POINTS) * (2.0 / _CHEB_NODES)
-        q[0] *= 0.5
-        # moments[b, j] = sum of w T_j(u) over the atoms of box b, one degree
-        # at a time so the temporaries stay the size of the atom set
+        # moments[b, j, col] = sum of weights[:, col] T_j(u) over the points of
+        # box b, one degree at a time so the temporaries stay the size of the set
+        # (T_{-1} = T_1 = u starts the recurrence at T_0 = 1)
         u = 2.0 * (s - box) - 1.0
-        moments = np.empty((n_boxes, _CHEB_NODES))
-        t_prev, t = np.ones(n), u
-        moments[:, 0] = np.bincount(box, weights, minlength=n_boxes)
-        for j in range(1, _CHEB_NODES):
-            moments[:, j] = np.bincount(box, weights * t, minlength=n_boxes)
+        moments = np.empty((n_boxes, _CHEB_NODES, cols))
+        t_prev, t = u, np.ones(n)
+        for j in range(_CHEB_NODES):
+            for col in range(cols):
+                moments[:, j, col] = np.bincount(box, weights[:, col] * t, minlength=n_boxes)
             t_prev, t = t, 2.0 * u * t - t_prev
-        at_nodes = np.fft.irfft(
-            np.einsum("fkl,fl->fk", _far_transfer(n_boxes), np.fft.rfft(moments @ q, axis=0)),
-            n=n_boxes, axis=0)
-        return cls(n_boxes, start[prev], np.minimum(n, count[prev] + count + count[nxt]),
-                   np.ascontiguousarray(q @ at_nodes.T))
+        # anterpolate onto the nodes, convolve over the box index, and fit
+        # the far field at the nodes of each box
+        at_nodes = np.fft.irfft(_far_transfer(n_boxes) @ np.fft.rfft(_CHEB_FIT.T @ moments, axis=0),
+                                n=n_boxes, axis=0)
+        return cls(angles, weights, n_boxes, start[prev],
+                   np.minimum(n, count[prev] + count + count[nxt]),
+                   np.ascontiguousarray(np.swapaxes(_CHEB_FIT @ at_nodes, 0, 1)))
+
+    def __call__(self, xs: np.ndarray, skip=None) -> np.ndarray:
+        """sum_i weights[i] W(x - angles[i]) at each x, shape (targets, c),
+        over every point but lo, ..., lo + length - 1 (mod n) for ``skip`` =
+        (lo, length), one range per target."""
+        s = (xs + 0.5) % 1.0 * self.n_boxes  # in [0, B) for finite x
+        box = np.nan_to_num(s).astype(np.int64)
+        near = (self.near_lo[box], self.near_len[box])
+        out = _near_sum(self.angles, self.weights, xs, *near, skip) \
+            + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
+        if skip is not None:  # take back the skipped points of the far field
+            out -= _near_sum(self.angles, self.weights, xs, *skip, near)
+        return out
 
 
 def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
-              lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Exact kernel sum at each x over the atoms lo, ..., lo + length - 1
-    (indices mod the atom count).
+              lo: np.ndarray, length: np.ndarray, skip=None) -> np.ndarray:
+    """Exact kernel sum at each x over the points lo, ..., lo + length - 1
+    (indices mod the point count), one sum per weight column.  ``skip`` =
+    (lo, length) per target names points whose pairs are never formed.
 
     Targets go through in blocks of about ``_BLOCK_DOUBLES`` pairs; a target
     with a longer window takes a block of its own.
     """
-    out = np.empty(xs.size)
+    out = np.empty((xs.size, weights.shape[1]))
     ends = np.cumsum(length)
     i = 0
     while i < xs.size:
@@ -290,8 +311,13 @@ def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
         size = length[i:j]
         first = np.cumsum(size) - size
         idx = (np.arange(first[-1] + size[-1]) + np.repeat(lo[i:j] - first, size)) % angles.size
-        vals = kernel_T(np.repeat(xs[i:j], size) - angles[idx]) * weights[idx]
-        out[i:j] = np.bincount(np.repeat(np.arange(j - i), size), vals, minlength=j - i)
+        who = np.repeat(np.arange(j - i), size)
+        if skip is not None:
+            keep = (idx - skip[0][i:j][who]) % angles.size >= skip[1][i:j][who]
+            idx, who = idx[keep], who[keep]
+        k = kernel_T(xs[i:j][who] - angles[idx])
+        for col in range(weights.shape[1]):
+            out[i:j, col] = np.bincount(who, k * weights[idx, col], minlength=j - i)
         i = j
     return out
 
@@ -431,8 +457,8 @@ class GridBackedDensity:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise DomainError("cell values must be a nonempty 1-d array")
+        if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+            raise DomainError("cell values must be a nonempty 1-d array of finite numbers")
         object.__setattr__(self, "values", values)
 
     @property
@@ -467,6 +493,8 @@ class UniformPlusDensity:
              else np.asarray(self.sin_coeffs, dtype=float))
         if c.shape != s.shape:
             raise ValueError("cos and sin coefficient arrays must have equal length")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
+            raise DomainError("cos and sin coefficients must be finite")
         object.__setattr__(self, "cos_coeffs", c)
         object.__setattr__(self, "sin_coeffs", s)
 
@@ -600,21 +628,6 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cheb_nodes(n: int) -> np.ndarray:
-    return np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-
-
-def _cheb_fit(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at first-kind nodes."""
-    n = values.size
-    j = np.arange(n)
-    k = np.arange(n)
-    basis = np.cos(np.pi * np.outer(k, 2.0 * j + 1.0) / (2.0 * n))
-    coeffs = (2.0 / n) * basis @ values
-    coeffs[0] /= 2.0
-    return coeffs
-
-
 class PeriodizedDensity:
     """1 + sum_j mu(x - j) for an admissible line distribution (Diracs excluded).
 
@@ -654,7 +667,7 @@ class PeriodizedDensity:
         J = self.lattice_terms
         shifts = np.arange(-J, J + 1)
         total = np.ones_like(xs)
-        block = max(1, int(2e6 // (2 * J + 1)))
+        block = max(1, _BLOCK_DOUBLES // (2 * J + 1))
         for i in range(0, xs.size, block):
             pts = xs[i:i + block, None] - shifts[None, :]
             total[i:i + block] += admissible_density_line(self.mu, pts).sum(axis=1)
@@ -701,8 +714,8 @@ class MixedMeasureT:
 
     def __post_init__(self) -> None:
         clean = tuple((canonical_angle(a), float(m)) for a, m in self.diracs)
-        if any(m <= 0.0 for _, m in clean):
-            raise DomainError("Dirac masses must be strictly positive")
+        if not all(math.isfinite(a) and 0.0 < m < math.inf for a, m in clean):
+            raise DomainError("Dirac positions must be finite and masses finite and strictly positive")
         object.__setattr__(self, "diracs", tuple(sorted(clean)))
 
     @property
@@ -729,9 +742,10 @@ class MixedMeasureT:
         """(W * rho)(x) at a scalar or at every point of an array; +inf exactly
         at a Dirac.
 
-        Closed-form densities go through one batched pass on fixed nodes
-        (``_density_potential``); a ``GridBackedDensity`` takes its per-cell
-        rule at each point.
+        Closed-form densities go through one batched pass on fixed nodes,
+        summed by the box field of the atoms, and a rule graded toward each
+        target (``_density_potential``); a ``GridBackedDensity`` takes its
+        per-cell rule at each point.  The Diracs are a plain sum.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
@@ -757,14 +771,11 @@ class MixedMeasureT:
 # measure.  The panel holding x and its two neighbours take a rule graded
 # toward x: a fixed Gauss rule on a panel whose edge lies near x loses up to
 # 7e-7 * width^2 * |rho'(x)| to the (y - x) log|y - x| shape of the integrand.
-# Blocks of 2**14 doubles (128 KiB, glibc's default mmap threshold) reuse heap
-# memory; larger temporaries are mapped afresh for every block.
 _PANEL_WIDTH = 1.0 / 16.0  # widest fixed panel
 _PANEL_NODES = 24          # Gauss-Legendre nodes per fixed panel
 _KINK_LEVELS = 40          # dyadic levels of the end panels toward each kink
 _LOCAL_LEVELS = 20         # dyadic levels of the local rule on each side of x
 _LOCAL_NODES = 16          # Gauss-Legendre nodes per local panel
-_BLOCK_DOUBLES = 2**14     # bound on the temporaries of one block of targets
 
 
 @dataclass(frozen=True, eq=False)
@@ -777,9 +788,8 @@ class _FixedNodes:
     """
 
     edges: np.ndarray   # panel edges, ascending; edges[-1] = edges[0] + 1
-    y: np.ndarray       # nodes, _PANEL_NODES per panel, panel by panel
-    w: np.ndarray       # weights
-    rho: np.ndarray     # the density at the nodes
+    first: int          # position of panel 0's first node among the sorted nodes
+    field: _BoxField    # the nodes, canonical and ascending, weighted (w rho, w)
 
     @classmethod
     def build(cls, density) -> "_FixedNodes":
@@ -802,7 +812,12 @@ class _FixedNodes:
         nodes, weights = kernels._gl_rule(_PANEL_NODES)
         widths = np.diff(edges)
         y = (edges[:-1, None] + widths[:, None] * nodes).ravel()
-        return cls(edges, y, (widths[:, None] * weights).ravel(), density.evaluate(y))
+        w = (widths[:, None] * weights).ravel()
+        # the nodes at or above 1/2 wrap to the front as y - 1, which is exact
+        first = (y.size - int(np.searchsorted(y, 0.5))) % y.size
+        ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
+        cols = np.roll(np.stack((w * density.evaluate(y), w), axis=1), first, axis=0)
+        return cls(edges, first, _BoxField.build(ys, cols))
 
 
 @lru_cache(maxsize=None)
@@ -819,27 +834,20 @@ def _density_potential(fixed: _FixedNodes, dens, xs: np.ndarray) -> np.ndarray:
     """W * rho at every x: fixed nodes off the panels next to x, plus a rule
     graded toward x on [edge before the previous panel, edge after the next].
 
-    Targets go through in blocks, so that no temporary exceeds about
-    ``_BLOCK_DOUBLES`` doubles.
+    The fixed nodes go through their box field; the local rule takes
+    targets in blocks of about ``_BLOCK_DOUBLES`` doubles.
     """
-    edges = fixed.edges
+    edges, field = fixed.edges, fixed.field
     n_panels = edges.size - 1
     rel = edges[0] + (xs - edges[0]) % 1.0
     p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, n_panels - 1)
     ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
     before, after = rel - ext[p], ext[p + 3] - rel  # window [x - before, x + after]
     rho_x = dens(xs)
-    w_rho = np.stack((fixed.w * fixed.rho, fixed.w), axis=1)
-    out = np.empty(xs.size)
-    block = max(1, _BLOCK_DOUBLES // fixed.y.size)
-    for i in range(0, xs.size, block):
-        s = slice(i, i + block)
-        k = kernel_T(rel[s, None] - fixed.y[None, :])
-        # the nodes of panels p - 1, p and p + 1 give way to the local rule
-        near = ((p[s, None] - 1) * _PANEL_NODES + np.arange(3 * _PANEL_NODES)) % fixed.y.size
-        k[np.arange(k.shape[0])[:, None], near] = 0.0
-        sums = k @ w_rho
-        out[s] = sums[:, 0] - rho_x[s] * sums[:, 1]
+    # the nodes of panels p - 1, p and p + 1 give way to the local rule
+    local = ((p - 1) * _PANEL_NODES + fixed.first) % field.angles.size
+    sums = field(rel, (local, np.full(xs.size, 3 * _PANEL_NODES)))
+    out = sums[:, 0] - rho_x * sums[:, 1]
     u, wu = _local_rule()
     block = max(1, _BLOCK_DOUBLES // (2 * u.size))
     for i in range(0, xs.size, block):

@@ -26,6 +26,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .measures import (
+    _BLOCK_DOUBLES,
     EmpiricalMeasure,
     IntervalT,
     canonical_angle,
@@ -154,7 +155,7 @@ class PolynomialSpec:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.has_roots:
             out = np.full(th.shape, math.log(abs(self.leading)))
-            block = max(1, int(4e6 // max(self.degree, 1)))
+            block = max(1, _BLOCK_DOUBLES // max(self.degree, 1))
             for i in range(0, th.size, block):
                 d = th[i:i + block, None] - self.angles[None, :]
                 sq = 1.0 + self.moduli**2 - 2.0 * self.moduli * np.cos(2.0 * np.pi * d)
@@ -327,11 +328,7 @@ def poly_to_json(f: PolynomialSpec) -> dict:
 def poly_from_json(doc: dict) -> PolynomialSpec:
     if "roots" in doc and doc["roots"] is not None:
         lead = doc.get("leading", [1.0, 0.0])
-        return PolynomialSpec(
-            moduli=np.array([r[0] for r in doc["roots"]], dtype=float),
-            angles=np.array([r[1] for r in doc["roots"]], dtype=float),
-            leading=complex(lead[0], lead[1]),
-        )
+        return PolynomialSpec.from_roots(doc["roots"], complex(lead[0], lead[1]))
     if "coeffs" in doc and doc["coeffs"] is not None:
         return PolynomialSpec.from_coeffs([complex(c[0], c[1]) for c in doc["coeffs"]])
     raise DomainError("polynomial document needs 'roots' or 'coeffs'")

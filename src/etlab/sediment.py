@@ -73,10 +73,6 @@ class GridDensity:
         n = self.n_cells
         return (np.arange(n) + 0.5) / n
 
-    def dirac_positions(self) -> list[tuple[float, float]]:
-        n = self.n_cells
-        return [(k / n, m) for k, m in self.diracs]
-
 
 @dataclass(frozen=True)
 class ExternalPotentialSpec:
@@ -110,13 +106,6 @@ class ExternalPotentialSpec:
                 raise DomainError("extra potential samples must match n_cells")
             vals = vals + extra
         return vals
-
-    def dirac_pairs(self) -> list[tuple[float, float]]:
-        if self.m == 0.0:
-            return []
-        if self.M == 0.0:
-            return [(0.0, 2.0 * self.m)]
-        return [(-self.M, self.m), (self.M, self.m)]
 
 
 def spectral_kernel_coefficients(n_cells: int) -> np.ndarray:
@@ -153,15 +142,13 @@ def energy(rho: GridDensity, u: ExternalPotentialSpec) -> float:
     return interaction + potential
 
 
-def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
-    """Replace the density on (x0 - eps, x0 + eps) by endpoint masses matching
-    the 0th and 1st moments.
-
-    x0 and eps snap to the cell lattice; the window must span at least 8
-    cells and less than half the circle.  For piecewise-constant densities
-    the midpoint sums below are the exact moment integrals, so mass and first
-    moment are conserved to rounding.
-    """
+def _diffusion_window(rho: GridDensity, x0: float, eps: float):
+    """The window (x0 - eps, x0 + eps) snapped to the cell lattice, as
+    (b0, k, idx, u, m1, m2): its center b0 / n and half-width k / n, its
+    cells idx, their centers' offsets u from b0 / n, and the endpoint masses
+    m1 at (b0 - k) / n and m2 at (b0 + k) / n that match the window's 0th
+    and 1st moments.  The window must span at least 8 cells and less than
+    half the circle."""
     n = rho.n_cells
     if not eps < 0.5:
         raise DomainError("eps must be < 1/2")
@@ -172,12 +159,25 @@ def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
             f"window spans {2 * k} cells; need at least 8 (eps = {eps}, n = {n})")
     if 2 * k >= n:
         raise DomainError("window covers the whole circle")
-    x0_eff, eps_eff = b0 / n, k / n
     idx = (b0 - k + np.arange(2 * k)) % n
-    u = _canonical_diff((idx + 0.5) / n, x0_eff)
+    u = _canonical_diff((idx + 0.5) / n, b0 / n)
     cell_mass = rho.values[idx] / n
-    m1 = math.fsum((0.5 * (1.0 - u / eps_eff) * cell_mass).tolist())
-    m2 = math.fsum((0.5 * (1.0 + u / eps_eff) * cell_mass).tolist())
+    m1 = math.fsum((0.5 * (1.0 - u / (k / n)) * cell_mass).tolist())
+    m2 = math.fsum((0.5 * (1.0 + u / (k / n)) * cell_mass).tolist())
+    return b0, k, idx, u, m1, m2
+
+
+def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
+    """Replace the density on (x0 - eps, x0 + eps) by endpoint masses matching
+    the 0th and 1st moments.
+
+    x0 and eps snap to the cell lattice; the window must span at least 8
+    cells and less than half the circle.  For piecewise-constant densities
+    the midpoint sums are the exact moment integrals, so mass and first
+    moment are conserved to rounding.
+    """
+    n = rho.n_cells
+    b0, k, idx, _, m1, m2 = _diffusion_window(rho, x0, eps)
     new_values = rho.values.copy()
     new_values[idx] = 0.0
     new_diracs = dict(rho.diracs)
@@ -195,21 +195,16 @@ def _canonical_diff(x: np.ndarray, x0: float) -> np.ndarray:
 
 def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
                                     x) -> np.ndarray:
-    """Potential of (endpoint masses - removed window density) at points x.
+    """Potential of (endpoint masses - removed window density) at points x,
+    for the window of ``micro_diffuse`` and with its checks.
 
     Convexity of the kernel makes this nonnegative outside the closed window;
     per-cell 32-node Gauss-Legendre keeps the quadrature error well below the
     1e-9 assertion threshold used by the verification suite.
     """
     n = rho.n_cells
-    b0 = int(round(canonical_angle(x0) * n))
-    k = int(round(eps * n))
+    b0, k, idx, u, m1, m2 = _diffusion_window(rho, x0, eps)
     x0_eff, eps_eff = b0 / n, k / n
-    idx = (b0 - k + np.arange(2 * k)) % n
-    u = _canonical_diff((idx + 0.5) / n, x0_eff)
-    cell_mass = rho.values[idx] / n
-    m1 = float(np.sum(0.5 * (1.0 - u / eps_eff) * cell_mass))
-    m2 = float(np.sum(0.5 * (1.0 + u / eps_eff) * cell_mass))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = m1 * kernel_T(xs - (x0_eff - eps_eff)) + m2 * kernel_T(xs - (x0_eff + eps_eff))
     nodes, weights = kernels._gl_rule(32)

@@ -1,0 +1,65 @@
+"""The verdicts of ``scripts/bench_pairs.py`` on synthetic pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = {"wall_adj_s": {"better": "lower", "bound": 0.25},
+           "kept": {"better": "higher", "bound": 0.1}}
+
+
+def _runs(name, parent, change):
+    return {"parent": [{name: v, "failed": 0, "attempted": 10} for v in parent],
+            "change": [{name: v, "failed": 1, "attempted": 10} for v in change]}
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # 10 of 10 wins, median 0.2 below the parent's, spread 0.03
+    ([v - 0.2 for v in PARENT], "better"),
+    # 9 of 10 wins count too
+    ([v - 0.2 for v in PARENT[:9]] + [1.5], "better"),
+    # 10 of 10 wins by less than the parent's quartile spread
+    ([v - 0.005 for v in PARENT], "no worse"),
+    # 8 of 10 wins are not enough
+    ([v - 0.2 for v in PARENT[:8]] + [1.1, 1.1], "no worse"),
+    # the median 30% above the parent's, past the 25% bound
+    ([1.3 * v for v in PARENT], "worse"),
+    # 20% above: inside the bound
+    ([1.2 * v for v in PARENT], "no worse"),
+])
+def test_lower_is_better(change, verdict):
+    runs = _runs("wall_adj_s", PARENT, change)
+    out = bench_pairs._summary(runs, {"wall_adj_s": METRICS["wall_adj_s"]})["wall_adj_s"]
+    assert out["verdict"] == verdict
+    assert out["parent_spread"] == pytest.approx(0.035)  # inclusive quartiles
+    assert out["pairs"] == 10
+
+
+def test_a_wide_parent_spread_is_unresolved_unless_every_run_wins():
+    wide = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 1.0, 0.9, 1.1]
+    runs = _runs("wall_adj_s", wide, [v * 0.95 for v in wide])
+    out = bench_pairs._summary(runs, {"wall_adj_s": METRICS["wall_adj_s"]})["wall_adj_s"]
+    assert out["verdict"] == "unresolved"
+    # every change run below every parent run, by less than the spread
+    two_level = [1.0, 1.5] * 5
+    runs = _runs("wall_adj_s", two_level, [0.95] * 10)
+    out = bench_pairs._summary(runs, {"wall_adj_s": METRICS["wall_adj_s"]})["wall_adj_s"]
+    assert out["parent_spread"] == 0.5 and out["change_wins"] == 10
+    assert out["verdict"] == "no worse"
+
+
+def test_higher_is_better_and_failed_share():
+    runs = _runs("kept", PARENT, [v + 0.2 for v in PARENT])
+    assert bench_pairs._summary(runs, {"kept": METRICS["kept"]})["kept"]["verdict"] == "better"
+    runs = _runs("kept", PARENT, [0.8 * v for v in PARENT])
+    assert bench_pairs._summary(runs, {"kept": METRICS["kept"]})["kept"]["verdict"] == "worse"
+    assert bench_pairs._failed_share(runs) == {"parent": 0.0, "change": 0.1}

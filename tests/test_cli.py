@@ -193,6 +193,15 @@ class TestGaneliusCmd:
         code, _, err = invoke(capsys, "ganelius", str(path))
         assert code == 2
 
+    def test_nan_grid_values_rejected(self, capsys, tmp_path):
+        doc = {"diracs": [], "family": {"tag": "GridBacked",
+                                        "params": {"values": [1.0, float("nan"), 1.0, 1.0]}}}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "ganelius", str(path))
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 class TestNonFiniteScale:
     @pytest.mark.parametrize("argv, message", [

@@ -13,6 +13,7 @@ from etlab.extremal import make_admissible, rho_type1, rho_type2
 from etlab.measures import (
     AdmissibleDistR,
     EmpiricalMeasure,
+    GridBackedDensity,
     IntervalT,
     MixedMeasureT,
     TypeIITDensity,
@@ -376,3 +377,44 @@ class TestDensityFamilies:
         for x in (0.13, -0.37, 0.49):
             assert rho.potential(x) == pytest.approx(
                 float(up.potential_exact(np.array([x]))[0]), abs=1e-9)
+
+
+class TestNonFiniteInput:
+    """NaN and inf are rejected when a measure is built, not turned into a
+    NaN potential or discrepancy later."""
+
+    @pytest.mark.parametrize("angles, weights", [
+        ([math.nan, 0.1], [0.5, 0.5]),
+        ([math.inf, 0.1], [0.5, 0.5]),
+        ([0.2, 0.1], [math.nan, 1.0]),
+        ([0.2, 0.1], [math.inf, 1.0]),
+    ])
+    def test_empirical(self, angles, weights):
+        with pytest.raises(DomainError):
+            EmpiricalMeasure(np.array(angles), np.array(weights))
+        with pytest.raises(DomainError):
+            measure_from_json({"atoms": [list(p) for p in zip(angles, weights)]})
+
+    @pytest.mark.parametrize("diracs", [((math.nan, 0.5),), ((0.1, math.nan),),
+                                        ((0.1, math.inf),), ((-math.inf, 0.5),)])
+    def test_dirac(self, diracs):
+        with pytest.raises(DomainError):
+            MixedMeasureT(diracs=diracs, density=TypeITDensity(0.1))
+        with pytest.raises(DomainError):
+            measure_from_json({"diracs": [list(d) for d in diracs], "family": None})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_backed(self, bad):
+        with pytest.raises(DomainError):
+            GridBackedDensity(np.array([1.0, bad, 1.0, 1.0]))
+        with pytest.raises(DomainError):
+            measure_from_json({"diracs": [], "family": {
+                "tag": "GridBacked", "params": {"values": [1.0, bad, 1.0, 1.0]}}})
+
+    @pytest.mark.parametrize("cos, sin", [([0.1, math.nan], None), ([0.1], [math.inf])])
+    def test_uniform_plus(self, cos, sin):
+        with pytest.raises(DomainError):
+            UniformPlusDensity(np.array(cos), None if sin is None else np.array(sin))
+        with pytest.raises(DomainError):
+            measure_from_json({"diracs": [], "family": {
+                "tag": "UniformPlus", "params": {"cos": cos, "sin": sin}}})

@@ -3,8 +3,10 @@
 ``potential_oracle`` is the per-point graded quadrature that
 ``MixedMeasureT.potential`` ran before it was batched: one adaptive rule per
 density piece and per target, graded toward the target and the piece ends.
-``dense_potential`` is the plain kernel sum over every (target, atom) pair
-that ``EmpiricalMeasure.potential`` ran before its box far field.
+``dense_density_potential`` is the batched pass as it ran before its fixed
+nodes went through the box field: the kernel at every target and every fixed
+node.  ``dense_potential`` is the plain kernel sum over every (target, atom)
+pair that ``EmpiricalMeasure.potential`` ran before its box far field.
 """
 
 import math
@@ -131,14 +133,101 @@ def test_scalar_and_array_calls(name):
     assert rho.potential(xs.reshape(-1, 1)).shape == (xs.size, 1)
 
 
-def test_bitwise_reproducible():
-    xs = (np.arange(256) + 0.5) / 256 - 0.5
+def test_bitwise_reproducible(monkeypatch):
+    builds = []
+    build = measures._FixedNodes.build
+    monkeypatch.setattr(measures._FixedNodes, "build",
+                        classmethod(lambda cls, density: builds.append(1) or build(density)))
     a = FAMILIES["periodized_III"]()
     b = FAMILIES["periodized_III"]()
+    xs = np.concatenate(((np.arange(256) + 0.5) / 256 - 0.5, _on_nodes(a, 37)))
     first = a.potential(xs)
     assert np.array_equal(first, a.potential(xs))
     assert np.array_equal(first, b.potential(xs))
     assert height_T(a, 256) == height_T(b, 256)
+    assert len(builds) == 2  # once per measure, not per call of the search
+
+
+def dense_density_potential(rho: MixedMeasureT, x) -> np.ndarray:
+    """W * rho at every x: the Dirac sum, the kernel at every (target, fixed
+    node) pair off the panels p - 1, p and p + 1 around the target, and the
+    rule graded toward the target on those three panels."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    edges = rho._fixed_nodes.edges
+    nodes, weights = kernels._gl_rule(measures._PANEL_NODES)
+    widths = np.diff(edges)
+    y = (edges[:-1, None] + widths[:, None] * nodes).ravel()
+    w = (widths[:, None] * weights).ravel()
+    dens = rho.density.evaluate
+    w_rho = np.stack((w * dens(y), w), axis=1)
+    rel = edges[0] + (xs - edges[0]) % 1.0
+    p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, edges.size - 2)
+    ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
+    before, after = rel - ext[p], ext[p + 3] - rel
+    rho_x = dens(xs)
+    u, wu = measures._local_rule()
+    out = np.zeros(xs.size)
+    if rho.diracs:
+        pos, mass = np.array(rho.diracs).T
+        out += kernel_T(xs[:, None] - pos[None, :]) @ mass
+    for i in range(0, xs.size, 64):
+        s = slice(i, i + 64)
+        k = kernel_T(rel[s, None] - y[None, :])
+        near = ((p[s, None] - 1) * measures._PANEL_NODES
+                + np.arange(3 * measures._PANEL_NODES)) % y.size
+        k[np.arange(k.shape[0])[:, None], near] = 0.0
+        sums = k @ w_rho
+        t = np.concatenate((before[s, None] * u, after[s, None] * u), axis=1)
+        wt = np.concatenate((before[s, None] * wu, after[s, None] * wu), axis=1)
+        ys = rel[s, None] + np.concatenate((-t[:, :u.size], t[:, u.size:]), axis=1)
+        diff = dens(ys.ravel()).reshape(ys.shape) - rho_x[s, None]
+        out[s] += (sums[:, 0] - rho_x[s] * sums[:, 1]
+                   + (kernel_T(np.where(t > 0.0, t, 0.5)) * diff * wt).sum(axis=1))
+    return out
+
+
+def _on_nodes(rho, step):
+    """Every step-th fixed node, and the first and last node of every panel,
+    off the Diracs."""
+    field = rho._fixed_nodes.field
+    n = measures._PANEL_NODES
+    ends = (np.arange(field.angles.size) + rho._fixed_nodes.first) % field.angles.size
+    xs = np.concatenate((field.angles[::step], field.angles[ends[::n]],
+                         field.angles[ends[n - 1::n]]))
+    if rho.diracs:
+        pos = np.array([a for a, _ in rho.diracs])
+        xs = xs[np.abs(_canonical_array(xs[:, None] - pos)).min(axis=1) > 1e-12]
+    return xs
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_node_path_matches_dense_sum(name):
+    """At the grid, the kinks and panel edges, at every 37th fixed node
+    exactly, and at the nodes next to every panel edge: a target on a node is
+    finite, since the box field never pairs it with the nodes of its own
+    three panels."""
+    rho = FAMILIES[name]()
+    xs = np.concatenate((_targets(rho), _on_nodes(rho, 37)))
+    got, want = rho.potential(xs), dense_density_potential(rho, xs)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_node_path_evaluates_few_kernels(monkeypatch):
+    """The far nodes reach the targets through the box field: far fewer
+    kernel evaluations than targets times nodes."""
+    rho = rho_type1(0.05)
+    xs = (np.arange(2048) + 0.5) / 2048 - 0.5
+    n_nodes = rho._fixed_nodes.field.angles.size
+    evals = []
+
+    def counting(x):
+        evals.append(np.size(x))
+        return kernel_T(x)
+
+    monkeypatch.setattr(measures, "kernel_T", counting)
+    rho.potential(xs)
+    assert sum(evals) < xs.size * n_nodes / 4
 
 
 def _grid_potential_exact(values, x) -> float:

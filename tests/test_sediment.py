@@ -139,6 +139,20 @@ class TestMicroDiffuse:
         with pytest.raises(IntervalTooCoarse):
             micro_diffuse(GridDensity(np.ones(64)), 0.25, 2 / 64)
 
+    @pytest.mark.parametrize("eps, error", [
+        (1e-4, IntervalTooCoarse),  # no cell: the parent returned [0, nan, 0]
+        (0.02, IntervalTooCoarse),  # a 2-cell window
+        (0.5, DomainError),         # the window wraps the whole circle
+        (0.6, DomainError),
+        (-0.1, IntervalTooCoarse),  # a negative width: the parent returned zeros
+    ])
+    def test_replacement_potential_checks_the_window(self, eps, error):
+        rho = GridDensity(np.ones(64))
+        with pytest.raises(error):
+            micro_diffuse(rho, 0.25, eps)
+        with pytest.raises(error):
+            diffusion_replacement_potential(rho, 0.25, eps, np.array([0.3, 0.25, 0.0]))
+
     def test_potential_rises_outside(self, rng):
         n = 512
         xs = (np.arange(2048) + 0.5) / 2048
