@@ -14,7 +14,8 @@ BENCHMARK.json.  The summary gives, per end-to-end metric,
 each side's median, quartiles and extremes, the number of pairs the change
 won (ties count for neither side), the ratio of the medians, change over
 parent, the parent's quartile spread and a verdict (see ``_verdict``); each
-workload also records each side's failed share of its items.  With
+workload also records each side's failed share of its items, and in
+``same_outputs`` how many pairs gave the same output digest on both sides.  With
 --trace-seed, each workload also runs once per side with --trace 1, and
 every per-layer metric of both sides is kept.
 The file is rewritten after every pair, so an interrupted run keeps what it
@@ -99,6 +100,12 @@ def _failed_share(runs: dict) -> dict:
             for side, rs in runs.items()}
 
 
+def _same_outputs(runs: dict) -> dict:
+    """Pairs whose parent and change runs printed the same output digest."""
+    equal = sum(p["digest"] == c["digest"] for p, c in zip(runs["parent"], runs["change"]))
+    return {"equal": equal, "pairs": len(runs["change"])}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -143,7 +150,8 @@ def main() -> int:
                         "attempted": res["attempted"], "digest": detail["digest"][:16],
                         **{name: res["metrics"][name]["value"] for name in metrics}})
                 doc["end_to_end"][workload] = {"summary": _summary(runs, metrics),
-                                               "failed_share": _failed_share(runs), "runs": runs}
+                                               "failed_share": _failed_share(runs),
+                                               "same_outputs": _same_outputs(runs), "runs": runs}
                 save()
                 print(f"{workload} pair {i + 1}: " + ", ".join(
                     f"{s} {runs[s][-1]['wall_adj_s']:.3f} s" for s in order), flush=True)

@@ -99,6 +99,10 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    if args.kind == 1 and args.R is not None:
+        raise EtLabError("--R applies to kinds 2 and 3 only")
+    if args.kind != 1 and args.m is not None:
+        raise EtLabError("--m applies to kind 1 only")
     if args.kind == 1:
         mu = measures.AdmissibleDistR("I", args.lam)
     else:

@@ -23,7 +23,7 @@ from . import kernels
 from ._search import bisect
 from .errors import DomainError, NegativeDensity, NonRationalWeights, QTooSmall
 from .extremal import rho_type1
-from .kernels import DEFAULT_SPEC, QuadratureSpec
+from .kernels import DEFAULT_SPEC
 from .measures import (
     EmpiricalMeasure,
     MixedMeasureT,
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-def moment_match_cell(density, a: float, b: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
+def moment_match_cell(density, a: float, b: float) -> tuple[float, float]:
     """Endpoint masses (m1 at a, m2 at b) matching mass and first moment.
 
     density is a vectorized nonnegative function on [a, b]; the 2x2 moment
@@ -56,9 +55,9 @@ def moment_match_cell(density, a: float, b: float,
     """
     if not b > a:
         raise DomainError(f"need b > a, got [{a}, {b}]")
-    s0 = kernels.integrate_piece(density, a, b, spec, grade_ends=True)
+    s0 = kernels.integrate_piece(density, a, b, DEFAULT_SPEC, grade_ends=True)
     s1 = kernels.integrate_piece(
-        lambda x: np.asarray(x, dtype=float) * density(x), a, b, spec, grade_ends=True)
+        lambda x: np.asarray(x, dtype=float) * density(x), a, b, DEFAULT_SPEC, grade_ends=True)
     m1 = (b * s0 - s1) / (b - a)
     m2 = (s1 - a * s0) / (b - a)
     if min(m1, m2) < -1e-10 * max(1.0, abs(s0)):
@@ -81,8 +80,7 @@ def _pieces_mod1(density) -> list[tuple[float, float]]:
     return sorted((lo, hi) for lo, hi in out if hi - lo > 1e-15)
 
 
-def discretize_measure(rho: MixedMeasureT, n: int,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> EmpiricalMeasure:
+def discretize_measure(rho: MixedMeasureT, n: int) -> EmpiricalMeasure:
     """Replace the density of rho by endpoint masses on the grid {j/n}.
 
     Dirac atoms are kept verbatim (the customary atom at 0 sits on a cell
@@ -117,7 +115,7 @@ def discretize_measure(rho: MixedMeasureT, n: int,
                 m1 = (b * s0 - s1) / (b - a)
                 m2 = (s1 - a * s0) / (b - a)
             else:
-                m1f, m2f = moment_match_cell(dens, fa, fb, spec)
+                m1f, m2f = moment_match_cell(dens, fa, fb)
                 # re-express the fragment masses on the full cell endpoints,
                 # preserving both moments
                 s0 = m1f + m2f
@@ -241,22 +239,20 @@ class SharpnessReport:
                 "rational": enc(self.rational), "polynomial": enc(self.polynomial)}
 
 
-def _metrics_mixed(rho: MixedMeasureT, grid_n: int) -> StageMetrics:
-    d, _ = discrepancy_mixed(rho)
+def _stage_metrics(rho: EmpiricalMeasure | MixedMeasureT, grid_n: int) -> StageMetrics:
+    if isinstance(rho, EmpiricalMeasure):
+        d, _ = discrepancy_empirical(rho)
+    else:
+        d, _ = discrepancy_mixed(rho)
     h, _ = height_T(rho, grid_n)
     return StageMetrics(d, h, h / d**2)
 
 
-def _metrics_empirical(rho: EmpiricalMeasure, grid_n: int) -> StageMetrics:
-    d, _ = discrepancy_empirical(rho)
-    h, _ = height_T(rho, grid_n)
-    return StageMetrics(d, h, h / d**2)
-
-
-def sharpness_pipeline(m: float, n: int, q: int, include_polynomial: bool = False,
-                       grid_n: int = 4096) -> SharpnessReport:
+def sharpness_pipeline(m: float, n: int, q: int,
+                       include_polynomial: bool = False) -> SharpnessReport:
     """Chain rho_type1(m) -> moment-matched atoms -> rational stage
-    (-> polynomial), reporting (D, H, H/D^2) at every stage.
+    (-> polynomial), reporting (D, H, H/D^2) at every stage.  H is searched on
+    a grid of 2048 points for the continuum and 4096 for the atomic stages.
 
     The rational stage keeps the numerators p_j of ``rationalize``, hence
     the atom count and the Dirac mass that sets D, and moves the atoms off 0
@@ -270,11 +266,11 @@ def sharpness_pipeline(m: float, n: int, q: int, include_polynomial: bool = Fals
     if not (0.0 < m <= 0.5):
         raise DomainError(f"need 0 < m <= 1/2, got m={m}")
     rho = rho_type1(m)
-    cont = _metrics_mixed(rho, max(512, min(grid_n, 2048)))
+    cont = _stage_metrics(rho, 2048)
     rho_n = discretize_measure(rho, n)
-    disc = _metrics_empirical(rho_n, grid_n)
+    disc = _stage_metrics(rho_n, 4096)
     rho_q = move_to_slab_midpoints(rationalize(rho_n, q), q)
-    rat = _metrics_empirical(rho_q, grid_n)
+    rat = _stage_metrics(rho_q, 4096)
     poly_metrics = None
     if include_polynomial:
         f = synthesize_poly(rho_q, q)
@@ -283,14 +279,13 @@ def sharpness_pipeline(m: float, n: int, q: int, include_polynomial: bool = Fals
     return SharpnessReport(m, n, q, cont, disc, rat, poly_metrics)
 
 
-def cell_replacement_potential(density, a: float, b: float, x,
-                               spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def cell_replacement_potential(density, a: float, b: float, x) -> np.ndarray:
     """Potential of (endpoint masses - cell density) at points x outside [a, b].
 
     Convexity of the kernel makes this nonnegative for every x outside the
     cell; used as the direct verification of the height-drift mechanism.
     """
-    m1, m2 = moment_match_cell(density, a, b, spec)
+    m1, m2 = moment_match_cell(density, a, b)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     atoms = m1 * kernels.kernel_T(xs - a) + m2 * kernels.kernel_T(xs - b)
     nodes, weights = kernels._gl_rule(32)

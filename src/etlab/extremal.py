@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from ._search import bisect
 from .errors import AtDirac, DomainError, LambdaTooLarge
-from .kernels import TIGHT_SPEC, QuadratureSpec
+from .kernels import TIGHT_SPEC
 from .measures import (
     AdmissibleDistR,
     MixedMeasureT,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def phi(L: float, R: float, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def phi(L: float, R: float) -> float:
     """pv int_L^R sqrt((R^2-x^2)(x^2-L^2))/(x^2-1) dx, pole at 1, 0 <= L < 1 < R.
 
     Strictly increasing in both arguments; vanishes exactly on the
@@ -69,7 +69,7 @@ def phi(L: float, R: float, spec: QuadratureSpec = TIGHT_SPEC) -> float:
         return np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) \
             / (x * x - 1.0)
 
-    return kernels.pv_sqrt_composite(integrand, L, R, 1.0, spec)
+    return kernels.pv_sqrt_composite(integrand, L, R, 1.0, TIGHT_SPEC)
 
 
 def _phi0_closed(R: float) -> float:
@@ -91,25 +91,24 @@ def r_critical() -> float:
     return float(bisect(lambda r: _phi0_closed(float(r)) < 0.0, lo, hi, 1e-13))
 
 
-def l_of_r(R: float, tol: float = 1e-9, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def l_of_r(R: float) -> float:
     """The unique L in (0, 1) with phi(L, R) = 0, for 1 < R < r_critical().
 
-    Bisection to ``tol`` is valid because phi is strictly increasing in L;
+    Bisection to 1e-9 is valid because phi is strictly increasing in L;
     phi(0+, R) < 0 below the critical radius and phi(L, R) -> positive as L -> 1.
     """
     rc = r_critical()
     if not (1.0 < R < rc):
         raise DomainError(f"need 1 < R < {rc:.6f}, got R={R}")
     lo, hi = 1e-6, 1.0 - 1e-6
-    flo = phi(lo, R, spec)
-    fhi = phi(hi, R, spec)
+    flo = phi(lo, R)
+    fhi = phi(hi, R)
     if not (flo < 0.0 < fhi):
         raise DomainError(f"admissibility bracket failed at R={R}: [{flo}, {fhi}]")
-    return float(bisect(lambda L: phi(float(L), R, spec) < 0.0, lo, hi, tol))
+    return float(bisect(lambda L: phi(float(L), R) < 0.0, lo, hi, 1e-9))
 
 
-def make_admissible(R: float | None, lam: float = 1.0,
-                    spec: QuadratureSpec = TIGHT_SPEC) -> AdmissibleDistR:
+def make_admissible(R: float | None, lam: float = 1.0) -> AdmissibleDistR:
     """Build the admissible distribution selected by R (None picks kind I).
 
     R >= r_critical() gives kind II; 1 < R < r_critical() gives kind III with
@@ -122,7 +121,7 @@ def make_admissible(R: float | None, lam: float = 1.0,
     rc = r_critical()
     if R >= rc:
         return AdmissibleDistR("II", lam, R)
-    return AdmissibleDistR("III", lam, R, l_of_r(R, spec=spec))
+    return AdmissibleDistR("III", lam, R, l_of_r(R))
 
 
 def density_R(mu: AdmissibleDistR, x: float) -> float:
@@ -133,34 +132,33 @@ def density_R(mu: AdmissibleDistR, x: float) -> float:
     return float(admissible_density_line(mu, np.array([x]))[0])
 
 
-def rho_type1(m: float, check_mass: bool = True) -> MixedMeasureT:
+def rho_type1(m: float) -> MixedMeasureT:
     """Circle probability measure: Dirac 2m at the origin plus the arc density
     sqrt(1 - 4m^2/sin^2(pi x)) outside the central gap.  0 < m <= 1/2."""
     if not (0.0 < m <= 0.5):
         raise DomainError(f"need 0 < m <= 1/2, got m={m}")
     density = None if m >= 0.5 else TypeITDensity(m)
     rho = MixedMeasureT(diracs=((0.0, 2.0 * m),), density=density, even=True)
-    if check_mass and density is not None:
+    if density is not None:
         total = rho.mass()
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"unit-mass check failed: total = {total}")
     return rho
 
 
-def rho_type2(M: float, R: float, L: float, check_mass: bool = True) -> MixedMeasureT:
+def rho_type2(M: float, R: float, L: float) -> MixedMeasureT:
     """Circle probability measure with Diracs at +-M and the two-arc density
     supported on |x| in [0, L] u [R, 1/2].  Requires 0 <= L < M < R < 1/2."""
     density = TypeIITDensity(M, R, L)  # validates the ordering
     m = density.dirac_mass()
     rho = MixedMeasureT(diracs=((-M, m), (M, m)), density=density, even=True)
-    if check_mass:
-        total = rho.mass()
-        if abs(total - 1.0) > 1e-6:
-            raise DomainError(f"unit-mass check failed: total = {total}")
+    total = rho.mass()
+    if abs(total - 1.0) > 1e-6:
+        raise DomainError(f"unit-mass check failed: total = {total}")
     return rho
 
 
-def periodize(mu: AdmissibleDistR, lattice_terms: int = 400) -> MixedMeasureT:
+def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
     """Wrap an admissible line distribution onto the circle.
 
     The result is 1 + (lattice sum of the scaled density) plus the wrapped
@@ -178,7 +176,7 @@ def periodize(mu: AdmissibleDistR, lattice_terms: int = 400) -> MixedMeasureT:
             raise LambdaTooLarge(
                 f"kinds II/III need lam <= 1/2 and lam*m < 1/2, got lam={mu.lam}, "
                 f"lam*m={mu.lam * mu.m}")
-    density = PeriodizedDensity(mu, lattice_terms=lattice_terms)
+    density = PeriodizedDensity(mu)
     diracs = tuple((pos, mass) for pos, mass in mu.dirac_positions_masses())
     meta = {}
     if mu.kind in ("II", "III"):
@@ -225,7 +223,7 @@ class Table1Row:
     ratio: float | None  # H_k / D_{k+1}^2; None on the last row
 
 
-def table1(spec: QuadratureSpec = TIGHT_SPEC) -> list[Table1Row]:
+def table1() -> list[Table1Row]:
     """The 20-row verification grid: (R_k, H_k, D_k) and the staggered ratios
     H_k / D_{k+1}^2, all computed from the kind-III family (the last row sits
     at the critical radius, where the curve parameter L reaches 0)."""
@@ -235,8 +233,8 @@ def table1(spec: QuadratureSpec = TIGHT_SPEC) -> list[Table1Row]:
         if R >= rc:
             mu = AdmissibleDistR("II", 1.0, R)
         else:
-            mu = make_admissible(R, 1.0, spec)
-        rows_hd.append((k, R, h_tilde(mu, spec), d_tilde(mu, spec)))
+            mu = make_admissible(R, 1.0)
+        rows_hd.append((k, R, h_tilde(mu), d_tilde(mu)))
     rows = []
     for k, R, H, D in rows_hd:
         ratio = None

@@ -46,7 +46,7 @@ def _validate_density_samples(rho: np.ndarray) -> np.ndarray:
     return np.maximum(rho, 0.0)
 
 
-def conjugate_pair(rho_samples, grid_n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def conjugate_pair(rho_samples) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) sampled at j/n from density samples at j/n.
 
     v is the cumulative trapezoid of (1 - rho) recentered to mean zero; u is
@@ -56,8 +56,6 @@ def conjugate_pair(rho_samples, grid_n: int | None = None) -> tuple[np.ndarray, 
     """
     rho = _validate_density_samples(rho_samples)
     n = rho.size
-    if grid_n is not None and grid_n != n:
-        raise DomainError("grid_n, when given, must match the sample count")
     f = 1.0 - rho
     h = 1.0 / n
     v = np.zeros(n)
@@ -140,14 +138,14 @@ def mollified_type1_samples(m: float, grid_n: int = 4096,
     return out
 
 
-def random_nonneg_trig_samples(rng: np.random.Generator, grid_n: int = 2048,
-                               degree: int = 32, depth: float = 0.95) -> np.ndarray:
+def random_nonneg_trig_samples(rng: np.random.Generator, grid_n: int = 2048) -> np.ndarray:
     """Mean-1 nonnegative trig-polynomial samples for the verification corpus.
 
-    Coefficients are drawn with a 1/k taper and the fluctuation is rescaled so
-    the density dips to 1 - depth > 0; K = max(1 - rho) stays positive.
+    The degree is drawn from 1..32, coefficients with a 1/k taper, and the
+    fluctuation is rescaled so the density dips to 1 - 0.95 > 0; K = max(1 - rho)
+    stays positive.
     """
-    deg = int(rng.integers(1, degree + 1))
+    deg = int(rng.integers(1, 33))
     k = np.arange(1, deg + 1)
     a = rng.normal(size=deg) / k
     b = rng.normal(size=deg) / k
@@ -156,4 +154,4 @@ def random_nonneg_trig_samples(rng: np.random.Generator, grid_n: int = 2048,
     g = np.cos(phase) @ a + np.sin(phase) @ b
     g -= g.mean()
     span = max(float(-g.min()), float(g.max()), 1e-9)
-    return 1.0 + g * (depth / span)
+    return 1.0 + g * (0.95 / span)

@@ -541,7 +541,7 @@ class AdmissibleDistR:
     lam: float = 1.0
     R: float | None = None
     L: float | None = None
-    m: float | None = None
+    m: float = field(init=False)  # Dirac mass at +-1, set from (R, L)
 
     def __post_init__(self) -> None:
         if self.kind not in ("I", "II", "III"):
@@ -567,8 +567,6 @@ class AdmissibleDistR:
             m = math.pi * math.sqrt((self.R**2 - 1.0) * (1.0 - L**2)) / 2.0
         except OverflowError:
             raise DomainError(f"R = {self.R} gives a Dirac mass that is not finite") from None
-        if self.m is not None and abs(self.m - m) > 1e-9 * max(1.0, m):
-            raise DomainError("Dirac mass inconsistent with (R, L)")
         object.__setattr__(self, "m", m)
 
     def with_lam(self, lam: float) -> "AdmissibleDistR":
@@ -631,16 +629,15 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
 class PeriodizedDensity:
     """1 + sum_j mu(x - j) for an admissible line distribution (Diracs excluded).
 
-    The lattice sum is truncated at ``lattice_terms`` translates with the tail
+    The lattice sum is truncated at 400 translates on each side with the tail
     restored from the 1/x^2 + 1/x^4 asymptotics via polygamma sums, then
     compressed into per-arc Chebyshev interpolants under the sin^2 change of
-    variable that absorbs the sqrt kinks at the support edges.
+    variable that absorbs the sqrt kinks at the support edges, 200 nodes
+    per arc.
     """
 
-    def __init__(self, mu: AdmissibleDistR, lattice_terms: int = 400,
-                 cheb_nodes: int = 200):
+    def __init__(self, mu: AdmissibleDistR):
         self.mu = mu
-        self.lattice_terms = int(lattice_terms)
         kinks = sorted({canonical_angle(s * e) for e in mu.support_edges() for s in (1, -1)})
         self._kinks = kinks
         arcs = []
@@ -651,7 +648,7 @@ class PeriodizedDensity:
         self._arcs = arcs
         self._coeffs = []
         for lo, hi in arcs:
-            phi = (np.pi / 4.0) * (_cheb_nodes(cheb_nodes) + 1.0)
+            phi = (np.pi / 4.0) * (_cheb_nodes(200) + 1.0)
             x = lo + (hi - lo) * np.sin(phi) ** 2
             self._coeffs.append(_cheb_fit(self.evaluate_direct(x)))
 
@@ -664,7 +661,7 @@ class PeriodizedDensity:
         from scipy.special import polygamma  # deferred: scipy is slow to import
 
         xs = np.atleast_1d(_canonical_array(x))
-        J = self.lattice_terms
+        J = 400
         shifts = np.arange(-J, J + 1)
         total = np.ones_like(xs)
         block = max(1, _BLOCK_DOUBLES // (2 * J + 1))
@@ -709,7 +706,6 @@ class MixedMeasureT:
     diracs: tuple[tuple[Angle, float], ...]
     density: object | None
     even: bool = True
-    total: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -727,16 +723,16 @@ class MixedMeasureT:
             return np.zeros_like(np.asarray(x, dtype=float))
         return self.density.evaluate(x)
 
-    def density_mass(self, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    def density_mass(self) -> float:
         if self.density is None:
             return 0.0
-        vals = [kernels.integrate_piece(self.density.evaluate, lo, hi, spec,
+        vals = [kernels.integrate_piece(self.density.evaluate, lo, hi, DEFAULT_SPEC,
                                         grade_ends=True)
                 for lo, hi in self.density.pieces()]
         return math.fsum(vals)
 
-    def mass(self, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        return self.dirac_total + self.density_mass(spec)
+    def mass(self) -> float:
+        return self.dirac_total + self.density_mass()
 
     def potential(self, x):
         """(W * rho)(x) at a scalar or at every point of an array; +inf exactly
@@ -902,12 +898,17 @@ def _even_window_value(rho: MixedMeasureT, a: float, cum: float) -> float:
     return dmass + cum - 2.0 * a
 
 
-def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
-                      spec: QuadratureSpec | None = None) -> tuple[float, IntervalT]:
+# Rule for the density mass between the best scan point and the refined
+# maximizer in ``discrepancy_mixed``.
+_REFINE_SPEC = QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10, max_refinements=40)
+
+
+def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     """Sup of (mass - length) over closed arcs for an even mixed measure.
 
     Even measures admit a symmetric maximizing arc [-a, a], so the scan is
-    one-dimensional in the half-width a; next to the best candidate the grid
+    one-dimensional in the half-width a, on a grid of 1025 half-widths plus
+    the piece edges and Dirac radii; next to the best candidate the grid
     is refined by bisecting F'(a) = rho(a) + rho(-a) - 2.  Grid-backed densities
     take the generic two-endpoint prefix scan instead.
     """
@@ -915,8 +916,6 @@ def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
         return _discrepancy_grid(rho)  # generic scan, no parity needed
     if not rho.even:
         raise NotEven("discrepancy_mixed requires the even-parity flag")
-    spec = spec or QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10,
-                                  max_refinements=40)
     if isinstance(rho.density, TypeITDensity):
         m = rho.density.m
         return 2.0 * m, IntervalT(0.0, 0.0)
@@ -929,7 +928,7 @@ def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
         for lo, hi in rho.density.pieces():
             for e in (lo, hi):
                 radii.add(min(abs(e), abs(1.0 - abs(e))))
-    radii.update(np.linspace(0.0, 0.5, grid // 2 + 1).tolist())
+    radii.update(np.linspace(0.0, 0.5, 1025).tolist())
     avals = np.array(sorted(r for r in radii if 0.0 <= r <= 0.5))
 
     dens = rho.density_eval
@@ -958,7 +957,7 @@ def discrepancy_mixed(rho: MixedMeasureT, grid: int = 2048,
     ks, lo, hi = ks[falls], lo[falls], hi[falls]
     a_stars = bisect(lambda a: ring(a) - 2.0 > 0.0, lo, hi, (hi - lo) * 2.0**-60)
     for k, a_star in zip(ks, a_stars):
-        extra = kernels.integrate_piece(ring, avals[k], a_star, spec,
+        extra = kernels.integrate_piece(ring, avals[k], a_star, _REFINE_SPEC,
                                         grade_ends=True) if a_star > avals[k] else 0.0
         f_star = _even_window_value(rho, a_star, cums[k] + extra)
         if f_star > best_f:
@@ -1073,7 +1072,7 @@ def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024) -> float:
 # ---------------------------------------------------------------------------
 
 
-def h_tilde(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def h_tilde(mu: AdmissibleDistR) -> float:
     """Integral of the generated potential over the line; scales as lam^2.
 
     Kinds I and II have closed forms (1/2 and pi^2 (R^2 - 2)/2); kind III
@@ -1090,10 +1089,10 @@ def h_tilde(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
         x = np.asarray(x, dtype=float)
         return np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) / (x + 1.0)
 
-    return lam2 * 2.0 * math.pi * kernels.integrate_sqrt_endpoints(f, L, R, spec)
+    return lam2 * 2.0 * math.pi * kernels.integrate_sqrt_endpoints(f, L, R, TIGHT_SPEC)
 
 
-def d_tilde(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def d_tilde(mu: AdmissibleDistR) -> float:
     """Signed mass of the closed window [-lam, lam]; scales as lam."""
     if mu.kind == "I":
         return mu.lam
@@ -1105,16 +1104,16 @@ def d_tilde(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
         x = np.asarray(x, dtype=float)
         return np.sqrt(np.maximum((R * R - x * x) * (L * L - x * x), 0.0)) / (1.0 - x * x)
 
-    inner = kernels.integrate_sqrt_endpoints(f, -L, L, spec)
+    inner = kernels.integrate_sqrt_endpoints(f, -L, L, TIGHT_SPEC)
     return mu.lam * (2.0 * mu.m - 2.0 + inner)
 
 
-def g_tilde(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def g_tilde(mu: AdmissibleDistR) -> float:
     """h_tilde / d_tilde^2; invariant under the scaling factor."""
-    return h_tilde(mu, spec) / d_tilde(mu, spec) ** 2
+    return h_tilde(mu) / d_tilde(mu) ** 2
 
 
-def h_tilde_quadrature(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def h_tilde_quadrature(mu: AdmissibleDistR) -> float:
     """h_tilde through the principal-value moment integral (no closed forms).
 
     Kind I integrates the semicircle profile directly; kinds II/III integrate
@@ -1128,7 +1127,7 @@ def h_tilde_quadrature(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -
             y = np.asarray(y, dtype=float)
             return np.sqrt(np.maximum(invpi**2 - y * y, 0.0))
 
-        return lam2 * math.pi * kernels.integrate_sqrt_endpoints(f, -invpi, invpi, spec)
+        return lam2 * math.pi * kernels.integrate_sqrt_endpoints(f, -invpi, invpi, TIGHT_SPEC)
     R, L = mu.R, mu.L or 0.0
 
     def g(x):
@@ -1136,10 +1135,10 @@ def h_tilde_quadrature(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -
         return x * np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) \
             / (x * x - 1.0)
 
-    return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0, spec)
+    return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0, TIGHT_SPEC)
 
 
-def d_tilde_quadrature(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -> float:
+def d_tilde_quadrature(mu: AdmissibleDistR) -> float:
     """d_tilde by integrating the density over the closed unit window."""
     if mu.kind == "I":
         return mu.lam
@@ -1151,11 +1150,11 @@ def d_tilde_quadrature(mu: AdmissibleDistR, spec: QuadratureSpec = TIGHT_SPEC) -
     L = unscaled.L or 0.0
     parts = [2.0 * unscaled.m]
     if L > 0.0:
-        parts.append(kernels.integrate_piece(dens, -L, L, spec, grade_ends=True))
-        parts.append(kernels.integrate_piece(dens, L, 1.0, spec, grade_ends=True))
-        parts.append(kernels.integrate_piece(dens, -1.0, -L, spec, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, -L, L, TIGHT_SPEC, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, L, 1.0, TIGHT_SPEC, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, -1.0, -L, TIGHT_SPEC, grade_ends=True))
     else:
-        parts.append(kernels.integrate_piece(dens, -1.0, 1.0, spec, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, -1.0, 1.0, TIGHT_SPEC, grade_ends=True))
     return mu.lam * math.fsum(parts)
 
 
@@ -1192,7 +1191,6 @@ def measure_to_json(rho) -> dict:
         "diracs": [[float(a), float(m)] for a, m in rho.diracs],
         "family": fam,
         "even": rho.even,
-        "total": rho.total,
     }
 
 
@@ -1224,5 +1222,4 @@ def measure_from_json(doc: dict):
         diracs=tuple((a, m) for a, m in doc.get("diracs", [])),
         density=density,
         even=bool(doc.get("even", True)),
-        total=float(doc.get("total", 1.0)),
     )

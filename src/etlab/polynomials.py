@@ -168,7 +168,7 @@ class PolynomialSpec:
             return np.log(np.abs(vals))
 
 
-def max_log_modulus(f: PolynomialSpec, grid_n: int | None = None) -> tuple[float, float]:
+def max_log_modulus(f: PolynomialSpec) -> tuple[float, float]:
     """(max of log|f| on the unit circle, maximizing angle).
 
     Dense grid of max(4096, 64 n) points, then one batched golden-section
@@ -176,7 +176,7 @@ def max_log_modulus(f: PolynomialSpec, grid_n: int | None = None) -> tuple[float
     search, not a certified bound.
     """
     n = f.degree
-    grid_n = max(grid_n or 0, 4096, 64 * n)
+    grid_n = max(4096, 64 * n)
     theta = np.arange(grid_n) / grid_n
     vals = f.log_abs_on_circle(theta)
     top = np.argsort(vals)[-5:]
@@ -188,12 +188,12 @@ def max_log_modulus(f: PolynomialSpec, grid_n: int | None = None) -> tuple[float
     return float(vals[top[-1]]), canonical_angle(theta[top[-1]])
 
 
-def height_poly(f: PolynomialSpec, grid_n: int | None = None) -> float:
+def height_poly(f: PolynomialSpec) -> float:
     """(1/n) log( max_{|z|=1} |f| / sqrt|a_0 a_n| )."""
     mag = f.a0_an_magnitude()
     if mag == 0.0 or not np.isfinite(mag):
         raise ZeroCoefficient("height needs nonzero, finite a_0 and a_n")
-    peak, _ = max_log_modulus(f, grid_n)
+    peak, _ = max_log_modulus(f)
     return (peak - 0.5 * math.log(mag)) / f.degree
 
 
@@ -244,10 +244,10 @@ class EtReport:
                 f"margin={self.margin:.3g} -> {verdict}")
 
 
-def check_et(f: PolynomialSpec, grid_n: int | None = None) -> EtReport:
+def check_et(f: PolynomialSpec) -> EtReport:
     """Evaluate D, H, and the bound sqrt(2) sqrt(H) for f (f(0) != 0)."""
     d, witness = discrepancy_poly(f)
-    h = height_poly(f, grid_n)
+    h = height_poly(f)
     bound = SQRT2 * math.sqrt(max(h, 0.0))
     margin = bound - d
     return EtReport(D=d, H=h, bound=bound, witness=witness,
@@ -266,11 +266,11 @@ def schur_reduce(f: PolynomialSpec) -> PolynomialSpec:
                           leading=1.0 + 0.0j)
 
 
-def count_at_angle(f: PolynomialSpec, theta: float, tol: float = 1e-12) -> int:
-    """Multiplicity-counted roots at the exact angle theta (tolerance in angle)."""
+def count_at_angle(f: PolynomialSpec, theta: float) -> int:
+    """Multiplicity-counted roots at the exact angle theta (within 1e-12 in angle)."""
     f._require_roots()
     rel = np.abs((f.angles - theta + 0.5) % 1.0 - 0.5)
-    return int(np.count_nonzero(rel <= tol))
+    return int(np.count_nonzero(rel <= 1e-12))
 
 
 @dataclass(frozen=True)
@@ -282,11 +282,11 @@ class RealRootReport:
     holds: bool
 
 
-def real_root_check(f: PolynomialSpec, grid_n: int | None = None) -> RealRootReport:
+def real_root_check(f: PolynomialSpec) -> RealRootReport:
     """Check the signed real-root counts against sqrt(2) sqrt(H) n."""
     n_pos = count_at_angle(f, 0.0)
     n_neg = count_at_angle(f, 0.5)
-    h = height_poly(f, grid_n)
+    h = height_poly(f)
     bound = SQRT2 * math.sqrt(max(h, 0.0)) * f.degree
     return RealRootReport(n_pos, n_neg, h, bound,
                           holds=max(n_pos, n_neg) <= bound + 1e-9)

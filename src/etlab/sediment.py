@@ -76,15 +76,14 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class ExternalPotentialSpec:
-    """External potential from a symmetric Dirac pair, plus an optional grid term.
+    """External potential from a symmetric Dirac pair.
 
-    U(x) = m (W(x - M) + W(x + M)); ``extra`` is sampled at the cell centers
-    of whatever grid the simulation runs on.
+    U(x) = m (W(x - M) + W(x + M)), sampled at the cell centers of whatever
+    grid the simulation runs on.
     """
 
     M: float = 0.0
     m: float = 0.0
-    extra: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(float(self.M)) and math.isfinite(float(self.m))):
@@ -99,13 +98,7 @@ class ExternalPotentialSpec:
 
     def on_grid(self, n_cells: int) -> np.ndarray:
         centers = (np.arange(n_cells) + 0.5) / n_cells
-        vals = np.asarray(self.evaluate(centers), dtype=float)
-        if self.extra is not None:
-            extra = np.asarray(self.extra, dtype=float)
-            if extra.size != n_cells:
-                raise DomainError("extra potential samples must match n_cells")
-            vals = vals + extra
-        return vals
+        return np.asarray(self.evaluate(centers), dtype=float)
 
 
 def spectral_kernel_coefficients(n_cells: int) -> np.ndarray:
@@ -216,16 +209,15 @@ def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
 
 
 def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
-                    iters: int, step: float | None = None,
-                    tol: float | None = None,
-                    trace: list | None = None, trace_every: int = 50,
-                    support_frac: float = 1e-6) -> tuple[GridDensity, float]:
+                    iters: int, tol: float | None = None,
+                    trace: list | None = None,
+                    trace_every: int = 50) -> tuple[GridDensity, float]:
     """Mirror descent toward the sediment state in the mass-``mass`` simplex.
 
     Multiplicative-weights updates keep the cell masses positive and
-    normalized; the step defaults to 0.5/max|V_U| and halves whenever the
+    normalized; the step starts at 0.5/max|V_U| and halves whenever the
     energy fails to decrease.  Returns the final density and the sediment
-    residual: max over support cells (density > support_frac * mass) of
+    residual: max over support cells (density > 1e-6 * mass) of
     V_U - min V_U.  Stops early once the residual is below ``tol``.
     """
     _check_power_of_two(n_cells)
@@ -248,13 +240,13 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
         return interaction + float(np.dot(u_grid, pvec))
 
     def residual_of(pvec, v):
-        support = pvec * n > support_frac * mass
+        support = pvec * n > 1e-6 * mass
         if not support.any():
             return float("inf")
         return float(v[support].max() - v.min())
 
     v = potential_of(p)
-    eta = step if step is not None else 0.5 / max(float(np.abs(v).max()), 1e-9)
+    eta = 0.5 / max(float(np.abs(v).max()), 1e-9)
     e_prev = energy_of(p, v)
     residual = residual_of(p, v)
     for it in range(iters):

@@ -63,3 +63,15 @@ def test_higher_is_better_and_failed_share():
     runs = _runs("kept", PARENT, [0.8 * v for v in PARENT])
     assert bench_pairs._summary(runs, {"kept": METRICS["kept"]})["kept"]["verdict"] == "worse"
     assert bench_pairs._failed_share(runs) == {"parent": 0.0, "change": 0.1}
+
+
+DIGESTS = [f"{k:016x}" for k in range(10)]
+
+
+@pytest.mark.parametrize("change, equal", [
+    (list(DIGESTS), 10),
+    (DIGESTS[:3] + ["f" * 16] + DIGESTS[4:], 9),
+])
+def test_same_outputs_counts_pairs_with_equal_digests(change, equal):
+    runs = {"parent": [{"digest": d} for d in DIGESTS], "change": [{"digest": d} for d in change]}
+    assert bench_pairs._same_outputs(runs) == {"equal": equal, "pairs": 10}

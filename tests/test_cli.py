@@ -116,6 +116,16 @@ class TestExtremalCmd:
         code, _, err = invoke(capsys, "extremal", "--kind", "3", "--R", "2.5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--kind", "3", "--R", "1.4", "--m", "0.2"), "--m"),
+        (("--kind", "2", "--R", "2.0", "--m", "0.2"), "--m"),
+        (("--kind", "1", "--R", "2.0"), "--R"),
+    ])
+    def test_flag_of_another_kind_rejected(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, "extremal", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err
+
     def test_density_csv_roundtrip(self, capsys, tmp_path):
         target = tmp_path / "density.csv"
         code, _, _ = invoke(capsys, "extremal", "--kind", "2", "--R", "2.0",

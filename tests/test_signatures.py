@@ -1,0 +1,66 @@
+"""The accuracy of each layer is fixed in the library, not chosen by callers:
+no public callable outside ``kernels`` takes a quadrature ``spec``, and the
+grid, tolerance and size parameters that no caller varied stay deleted."""
+
+import inspect
+
+import pytest
+
+from etlab import discretize, extremal, harmonic, measures, polynomials, sediment
+
+MODULES = (measures, extremal, discretize, polynomials, harmonic, sediment)
+
+# callable -> parameters it no longer takes (besides ``spec``, which none takes)
+DELETED = {
+    "measures.MixedMeasureT": ("total",),
+    "measures.AdmissibleDistR": ("m",),
+    "measures.PeriodizedDensity": ("lattice_terms", "cheb_nodes"),
+    "measures.discrepancy_mixed": ("grid",),
+    "extremal.l_of_r": ("tol",),
+    "extremal.periodize": ("lattice_terms",),
+    "extremal.rho_type1": ("check_mass",),
+    "extremal.rho_type2": ("check_mass",),
+    "discretize.sharpness_pipeline": ("grid_n",),
+    "polynomials.max_log_modulus": ("grid_n",),
+    "polynomials.height_poly": ("grid_n",),
+    "polynomials.check_et": ("grid_n",),
+    "polynomials.real_root_check": ("grid_n",),
+    "polynomials.count_at_angle": ("tol",),
+    "harmonic.conjugate_pair": ("grid_n",),
+    "harmonic.random_nonneg_trig_samples": ("degree", "depth"),
+    "sediment.ExternalPotentialSpec": ("extra",),
+    "sediment.minimize_energy": ("step", "support_frac"),
+}
+
+
+def _public_signatures():
+    """(qualified name, parameter names) of every function in the modules'
+    ``__all__``, every class's ``__init__`` and every public method."""
+    out = []
+    for mod in MODULES:
+        short = mod.__name__.rsplit(".", 1)[-1]
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if getattr(obj, "__module__", None) == "builtins" or not callable(obj):
+                continue  # the alias Angle = float, and constants
+            qual = f"{short}.{name}"
+            out.append((qual, inspect.signature(obj).parameters))
+            if inspect.isclass(obj):
+                for attr, val in vars(obj).items():
+                    func = getattr(val, "__func__", val)
+                    if not attr.startswith("_") and inspect.isfunction(func):
+                        out.append((f"{qual}.{attr}", inspect.signature(func).parameters))
+    return out
+
+
+SIGNATURES = _public_signatures()
+
+
+def test_every_listed_callable_is_walked():
+    assert set(DELETED) <= {qual for qual, _ in SIGNATURES}
+
+
+@pytest.mark.parametrize("qual, params", SIGNATURES, ids=[q for q, _ in SIGNATURES])
+def test_no_spec_and_no_deleted_parameter(qual, params):
+    assert "spec" not in params
+    assert not set(DELETED.get(qual, ())) & set(params)
