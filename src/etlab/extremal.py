@@ -138,7 +138,7 @@ def rho_type1(m: float) -> MixedMeasureT:
     if not (0.0 < m <= 0.5):
         raise DomainError(f"need 0 < m <= 1/2, got m={m}")
     density = None if m >= 0.5 else TypeITDensity(m)
-    rho = MixedMeasureT(diracs=((0.0, 2.0 * m),), density=density, even=True)
+    rho = MixedMeasureT(diracs=((0.0, 2.0 * m),), density=density)
     if density is not None:
         total = rho.mass()
         if abs(total - 1.0) > 1e-8:
@@ -151,7 +151,7 @@ def rho_type2(M: float, R: float, L: float) -> MixedMeasureT:
     supported on |x| in [0, L] u [R, 1/2].  Requires 0 <= L < M < R < 1/2."""
     density = TypeIITDensity(M, R, L)  # validates the ordering
     m = density.dirac_mass()
-    rho = MixedMeasureT(diracs=((-M, m), (M, m)), density=density, even=True)
+    rho = MixedMeasureT(diracs=((-M, m), (M, m)), density=density)
     total = rho.mass()
     if abs(total - 1.0) > 1e-6:
         raise DomainError(f"unit-mass check failed: total = {total}")
@@ -181,7 +181,7 @@ def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
     meta = {}
     if mu.kind in ("II", "III"):
         meta["l_ring"], meta["r_ring"] = _sign_change_radii(density, mu)
-    return MixedMeasureT(diracs=diracs, density=density, even=True, meta=meta)
+    return MixedMeasureT(diracs=diracs, density=density, meta=meta)
 
 
 def _sign_change_radii(density: PeriodizedDensity,

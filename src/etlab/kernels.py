@@ -10,7 +10,8 @@ machinery in the package reduces to three integral shapes:
 
 Panels are laid out deterministically (dyadic grading toward singular points,
 Gauss-Legendre inside each panel) and summed with ``math.fsum``, so repeated
-runs produce bitwise identical results.
+runs produce bitwise identical results.  Integrands are vectorized: each
+takes the array of all its nodes in one call.
 """
 
 from __future__ import annotations
@@ -114,14 +115,11 @@ def kernel_R(x):
 
 
 def _eval_vectorized(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a 1-d node array, tolerating scalar-only integrands."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(t)) for t in xs], dtype=float)
+    """f at every node of a 1-d array in one call; integrands must be vectorized."""
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError(f"integrand must map an array of nodes to an array, got {vals.shape}")
+    return vals
 
 
 def _depth(width: float, anchor: float, spec: QuadratureSpec) -> int:

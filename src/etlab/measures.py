@@ -18,10 +18,10 @@ kernel over weighted points: the points of the target's box and its two
 neighbours exactly, every other box through a Chebyshev far field on one
 level of boxes, within about 1e-15 of the plain kernel sum.
 ``EmpiricalMeasure.potential`` sends its atoms through it.
-``MixedMeasureT.potential`` evaluates all targets in one pass:
-W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy on fixed nodes graded toward
-the density's kinks, which go through the engine with the weights (w rho, w),
-and a rule graded toward x on the panels next to it (``_density_potential``).
+``MixedMeasureT.potential`` evaluates all targets in one pass: fixed nodes
+graded toward the density's kinks go through the engine, and the panels next
+to x take the kernel split -log|x - y| + smooth, product-integrated against
+rho's interpolant on each panel (``_density_potential``).
 ``height_T`` samples its whole grid in one such call.
 """
 
@@ -168,12 +168,12 @@ class EmpiricalMeasure:
         doubles per target.
         """
         xs = np.asarray(x, dtype=float)
-        out = self._box_field(xs.ravel())[:, 0]
+        out = self._box_field(xs.ravel())
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     @cached_property
     def _box_field(self) -> "_BoxField":
-        return _BoxField.build(self.angles, self.weights[:, None])
+        return _BoxField.build(self.angles, self.weights)
 
 
 # The kernel sum over weighted points (the atoms of an empirical measure, the
@@ -216,10 +216,9 @@ _CHEB_FIT = _cheb_fit(np.eye(_CHEB_NODES))
 
 
 def _clenshaw(coef: np.ndarray, box: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j coef[j, box] T_j(u) per target and column, by Clenshaw's
-    recurrence; the temporaries are a few arrays the size of the result."""
-    u = u[:, None]
-    b1 = b2 = np.zeros((u.size, coef.shape[2]))
+    """sum_j coef[j, box] T_j(u) per target, by Clenshaw's recurrence; the
+    temporaries are a few arrays the size of the result."""
+    b1 = b2 = np.zeros(u.size)
     u2 = 2.0 * u
     for j in range(_CHEB_NODES - 1, 0, -1):
         b1, b2 = coef[j][box] + u2 * b1 - b2, b1
@@ -246,30 +245,29 @@ class _BoxField:
     box; calling it sums the kernel over the points at each target."""
 
     angles: np.ndarray    # ascending, in [-1/2, 1/2)
-    weights: np.ndarray   # (n, c): c weights per point
+    weights: np.ndarray   # one weight per point
     n_boxes: int
     near_lo: np.ndarray   # index of the first point of boxes b - 1, b, b + 1
     near_len: np.ndarray  # their point count, at most the number of points
-    coef: np.ndarray      # coef[j, b, col]: degree-j Chebyshev coefficient of the far field in box b
+    coef: np.ndarray      # coef[j, b]: degree-j Chebyshev coefficient of the far field in box b
 
     @classmethod
     def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
-        n, cols = weights.shape
+        n = weights.size
         n_boxes = 1 << max(0, (n // _BOX_ATOMS).bit_length() - 1)
         s = (angles + 0.5) * n_boxes
         box = np.minimum(s.astype(np.int64), n_boxes - 1)  # ascending, as the points
         start = np.searchsorted(box, np.arange(n_boxes + 1))
         count = np.diff(start)
         prev, nxt = np.roll(np.arange(n_boxes), 1), np.roll(np.arange(n_boxes), -1)
-        # moments[b, j, col] = sum of weights[:, col] T_j(u) over the points of
-        # box b, one degree at a time so the temporaries stay the size of the set
+        # moments[b, j, 0] = sum of weights T_j(u) over the points of box b,
+        # one degree at a time so the temporaries stay the size of the set
         # (T_{-1} = T_1 = u starts the recurrence at T_0 = 1)
         u = 2.0 * (s - box) - 1.0
-        moments = np.empty((n_boxes, _CHEB_NODES, cols))
+        moments = np.empty((n_boxes, _CHEB_NODES, 1))
         t_prev, t = u, np.ones(n)
         for j in range(_CHEB_NODES):
-            for col in range(cols):
-                moments[:, j, col] = np.bincount(box, weights[:, col] * t, minlength=n_boxes)
+            moments[:, j, 0] = np.bincount(box, weights * t, minlength=n_boxes)
             t_prev, t = t, 2.0 * u * t - t_prev
         # anterpolate onto the nodes, convolve over the box index, and fit
         # the far field at the nodes of each box
@@ -277,12 +275,12 @@ class _BoxField:
                                 n=n_boxes, axis=0)
         return cls(angles, weights, n_boxes, start[prev],
                    np.minimum(n, count[prev] + count + count[nxt]),
-                   np.ascontiguousarray(np.swapaxes(_CHEB_FIT @ at_nodes, 0, 1)))
+                   np.ascontiguousarray((_CHEB_FIT @ at_nodes)[:, :, 0].T))
 
     def __call__(self, xs: np.ndarray, skip=None) -> np.ndarray:
-        """sum_i weights[i] W(x - angles[i]) at each x, shape (targets, c),
-        over every point but lo, ..., lo + length - 1 (mod n) for ``skip`` =
-        (lo, length), one range per target."""
+        """sum_i weights[i] W(x - angles[i]) at each x, over every point but
+        lo, ..., lo + length - 1 (mod n) for ``skip`` = (lo, length), one
+        range per target."""
         s = (xs + 0.5) % 1.0 * self.n_boxes  # in [0, B) for finite x
         box = np.nan_to_num(s).astype(np.int64)
         near = (self.near_lo[box], self.near_len[box])
@@ -296,13 +294,13 @@ class _BoxField:
 def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
               lo: np.ndarray, length: np.ndarray, skip=None) -> np.ndarray:
     """Exact kernel sum at each x over the points lo, ..., lo + length - 1
-    (indices mod the point count), one sum per weight column.  ``skip`` =
-    (lo, length) per target names points whose pairs are never formed.
+    (indices mod the point count).  ``skip`` = (lo, length) per target names
+    points whose pairs are never formed.
 
     Targets go through in blocks of about ``_BLOCK_DOUBLES`` pairs; a target
     with a longer window takes a block of its own.
     """
-    out = np.empty((xs.size, weights.shape[1]))
+    out = np.empty(xs.size)
     ends = np.cumsum(length)
     i = 0
     while i < xs.size:
@@ -315,9 +313,8 @@ def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
         if skip is not None:
             keep = (idx - skip[0][i:j][who]) % angles.size >= skip[1][i:j][who]
             idx, who = idx[keep], who[keep]
-        k = kernel_T(xs[i:j][who] - angles[idx])
-        for col in range(weights.shape[1]):
-            out[i:j, col] = np.bincount(who, k * weights[idx, col], minlength=j - i)
+        out[i:j] = np.bincount(who, kernel_T(xs[i:j][who] - angles[idx]) * weights[idx],
+                               minlength=j - i)
         i = j
     return out
 
@@ -467,8 +464,8 @@ class GridBackedDensity:
 
     @property
     def even(self) -> bool:
-        v = self.values
-        return bool(np.allclose(v, np.roll(v[::-1], 1), atol=1e-12))
+        # x -> -x maps cell k onto cell n - 1 - k
+        return bool(np.allclose(self.values, self.values[::-1], atol=1e-12))
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float) % 1.0
@@ -705,7 +702,6 @@ class MixedMeasureT:
 
     diracs: tuple[tuple[Angle, float], ...]
     density: object | None
-    even: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -713,6 +709,14 @@ class MixedMeasureT:
         if not all(math.isfinite(a) and 0.0 < m < math.inf for a, m in clean):
             raise DomainError("Dirac positions must be finite and masses finite and strictly positive")
         object.__setattr__(self, "diracs", tuple(sorted(clean)))
+
+    @property
+    def even(self) -> bool:
+        """An even density (or none) and Diracs symmetric about 0 to 1e-13,
+        since canonical angles round: canonical_angle(0.3) = 0.3 + 5.6e-17."""
+        mirror = sorted((canonical_angle(-a), m) for a, m in self.diracs)
+        return (self.density is None or self.density.even) and np.allclose(
+            mirror, self.diracs, rtol=0.0, atol=1e-13)
 
     @property
     def dirac_total(self) -> float:
@@ -738,10 +742,8 @@ class MixedMeasureT:
         """(W * rho)(x) at a scalar or at every point of an array; +inf exactly
         at a Dirac.
 
-        Closed-form densities go through one batched pass on fixed nodes,
-        summed by the box field of the atoms, and a rule graded toward each
-        target (``_density_potential``); a ``GridBackedDensity`` takes its
-        per-cell rule at each point.  The Diracs are a plain sum.
+        Every density goes through one batched pass that reads it only at
+        its fixed nodes (``_density_potential``).  The Diracs are a plain sum.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
@@ -749,10 +751,8 @@ class MixedMeasureT:
         if self.diracs:
             pos, mass = np.array(self.diracs).T
             out += kernel_T(flat[:, None] - pos[None, :]) @ mass
-        if isinstance(self.density, GridBackedDensity):
-            out += [_potential_grid_density(self.density, t) for t in flat]
-        elif self.density is not None and self.density.pieces():
-            out += _density_potential(self._fixed_nodes, self.density.evaluate, flat)
+        if self.density is not None and self.density.pieces():
+            out += _density_potential(self._fixed_nodes, flat)
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     @cached_property
@@ -760,18 +760,16 @@ class MixedMeasureT:
         return _FixedNodes.build(self.density)
 
 
-# The batched potential of a closed-form density.  Since W integrates to 0
-# over the circle, W * rho(x) = int W(x - y) (rho(y) - rho(x)) dy, whose
-# integrand is bounded.  Panels that do not touch x take fixed Gauss-Legendre
-# nodes, the same for every x, so the density is evaluated there once per
-# measure.  The panel holding x and its two neighbours take a rule graded
-# toward x: a fixed Gauss rule on a panel whose edge lies near x loses up to
-# 7e-7 * width^2 * |rho'(x)| to the (y - x) log|y - x| shape of the integrand.
+# The batched potential of a density.  Panels between its kinks take fixed
+# Gauss-Legendre nodes, so the density is evaluated there once per measure.
+# Every panel but the one holding x and its two neighbours reaches x through
+# the nodes' box field.  On those three the kernel is split (Helsing & Ojala,
+# J. Comput. Phys. 227, 2008), W(t) = -log|t| + s(t) with s(t) =
+# -log(2 pi sinc t) smooth for |t| < 1: s takes the panel's own nodes, and
+# -log|t| is integrated exactly against rho's interpolant on the panel.
 _PANEL_WIDTH = 1.0 / 16.0  # widest fixed panel
 _PANEL_NODES = 24          # Gauss-Legendre nodes per fixed panel
 _KINK_LEVELS = 40          # dyadic levels of the end panels toward each kink
-_LOCAL_LEVELS = 20         # dyadic levels of the local rule on each side of x
-_LOCAL_NODES = 16          # Gauss-Legendre nodes per local panel
 
 
 @dataclass(frozen=True, eq=False)
@@ -780,12 +778,14 @@ class _FixedNodes:
 
     The density's kinks, the edges of its pieces, split the circle into
     arcs; each arc takes equal panels no wider than 1/16, and its two end
-    panels are split dyadically toward the kinks (every sub-panel kept).
+    panels are split dyadically toward the kinks (every sub-panel kept),
+    except on the cells of a ``GridBackedDensity``, where it is constant.
     """
 
     edges: np.ndarray   # panel edges, ascending; edges[-1] = edges[0] + 1
     first: int          # position of panel 0's first node among the sorted nodes
-    field: _BoxField    # the nodes, canonical and ascending, weighted (w rho, w)
+    field: _BoxField    # the nodes, canonical and ascending, weighted w rho
+    coef: np.ndarray    # coef[panel, k]: Legendre coefficient k of rho on the panel
 
     @classmethod
     def build(cls, density) -> "_FixedNodes":
@@ -795,12 +795,13 @@ class _FixedNodes:
         if len(kinks) > 1 and kinks[0] + 1.0 - kinks[-1] <= 1e-13:
             kinks.pop()
         ends = kinks + [kinks[0] + 1.0]
+        grade = not isinstance(density, GridBackedDensity)
         edges = [np.array([ends[0]])]
         for lo, hi in zip(ends[:-1], ends[1:]):
-            n = max(2, math.ceil((hi - lo) / _PANEL_WIDTH))
+            n = max(1 + grade, math.ceil((hi - lo) / _PANEL_WIDTH))
             step = (hi - lo) / n
             # the innermost sub-panel stays wider than 64 ulp of an O(1) angle
-            levels = max(1, min(_KINK_LEVELS, int(math.log2(step / (64.0 * kernels._EPS)))))
+            levels = grade * max(1, min(_KINK_LEVELS, int(math.log2(step / (64.0 * kernels._EPS)))))
             graded = 0.5 ** np.arange(levels, 0, -1)
             edges += [lo + step * graded, lo + step * np.arange(1, n),
                       hi - step * graded[::-1], np.array([hi])]
@@ -809,82 +810,80 @@ class _FixedNodes:
         widths = np.diff(edges)
         y = (edges[:-1, None] + widths[:, None] * nodes).ravel()
         w = (widths[:, None] * weights).ravel()
+        rho = density.evaluate(y)
+        # values at the Gauss nodes t of [-1, 1] @ fit = the Legendre coefficients
+        # of their interpolant, (k + 1/2) w(t) P_k(t) with w(t) = 2 weights
+        fit = np.polynomial.legendre.legvander(2.0 * nodes - 1.0, _PANEL_NODES - 1) \
+            * (weights[:, None] * (2.0 * np.arange(_PANEL_NODES) + 1.0))
         # the nodes at or above 1/2 wrap to the front as y - 1, which is exact
         first = (y.size - int(np.searchsorted(y, 0.5))) % y.size
         ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
-        cols = np.roll(np.stack((w * density.evaluate(y), w), axis=1), first, axis=0)
-        return cls(edges, first, _BoxField.build(ys, cols))
+        return cls(edges, first, _BoxField.build(ys, np.roll(w * rho, first)),
+                   rho.reshape(widths.size, _PANEL_NODES) @ fit)
 
 
-@lru_cache(maxsize=None)
-def _local_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1], graded dyadically toward 0 (sliver kept)."""
-    panels = kernels._split_toward(0.0, 1.0, True, _LOCAL_LEVELS)
-    a, b = np.array([p[:2] for p in panels]).T
-    nodes, weights = kernels._gl_rule(_LOCAL_NODES)
-    return ((a[:, None] + (b - a)[:, None] * nodes).ravel(),
-            ((b - a)[:, None] * weights).ravel())
+def _log_moments(z: np.ndarray) -> np.ndarray:
+    """I_k(z) = int_{-1}^{1} P_k(t) log|z - t| dt, k < _PANEL_NODES, at each z
+    of a 1-d array: I_k = 2 (Q_{k+1} - Q_{k-1}) / (2k + 1) with the Legendre
+    functions of the second kind Q_k, and I_0 = 2 Q_1 + log|z^2 - 1|.
 
-
-def _density_potential(fixed: _FixedNodes, dens, xs: np.ndarray) -> np.ndarray:
-    """W * rho at every x: fixed nodes off the panels next to x, plus a rule
-    graded toward x on [edge before the previous panel, edge after the next].
-
-    The fixed nodes go through their box field; the local rule takes
-    targets in blocks of about ``_BLOCK_DOUBLES`` doubles.
+    For |z| <= 1.1 Q_k runs forward from Q_0 = (log|z + 1| - log|z - 1|) / 2,
+    and I_0 takes the form that keeps its digits next to z = +-1.  Beyond,
+    rounding would grow like P_k forward, so the ratios Q_k / Q_{k-1} run
+    backward from 0 at k = 3 * _PANEL_NODES (converged by 0.41**48 at 1.1).
+    At z = +-1: I_0 = 2 log 2 - 2, I_k = (+-1)**k (-2 / (k (k + 1))).
     """
-    edges, field = fixed.edges, fixed.field
-    n_panels = edges.size - 1
-    rel = edges[0] + (xs - edges[0]) % 1.0
-    p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, n_panels - 1)
-    ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
-    before, after = rel - ext[p], ext[p + 3] - rel  # window [x - before, x + after]
-    rho_x = dens(xs)
-    # the nodes of panels p - 1, p and p + 1 give way to the local rule
-    local = ((p - 1) * _PANEL_NODES + fixed.first) % field.angles.size
-    sums = field(rel, (local, np.full(xs.size, 3 * _PANEL_NODES)))
-    out = sums[:, 0] - rho_x * sums[:, 1]
-    u, wu = _local_rule()
-    block = max(1, _BLOCK_DOUBLES // (2 * u.size))
-    for i in range(0, xs.size, block):
-        s = slice(i, i + block)
-        # offsets t > 0 on each side of x; a zero-width side has t = 0 and
-        # weight 0, and its kernel is taken at 1/2 to stay finite
-        t = np.concatenate((before[s, None] * u, after[s, None] * u), axis=1)
-        wt = np.concatenate((before[s, None] * wu, after[s, None] * wu), axis=1)
-        ys = rel[s, None] + np.concatenate((-t[:, :u.size], t[:, u.size:]), axis=1)
-        diff = dens(ys.ravel()).reshape(ys.shape) - rho_x[s, None]
-        out[s] += (kernel_T(np.where(t > 0.0, t, 0.5)) * diff * wt).sum(axis=1)
+    n = _PANEL_NODES
+    edge, far = np.abs(z) == 1.0, np.abs(z) > 1.1
+    sign = z[edge, None]
+    z = np.where(edge, 0.0, z)  # the edges take the closed form
+    lp, lm = np.log(np.abs(z + 1.0)), np.log(np.abs(z - 1.0))
+    zn, zf = np.where(far, 0.0, z), z[far]  # the far z are overwritten below
+    q = np.empty((n + 1, z.size))
+    q[0] = 0.5 * (lp - lm)
+    q[1] = zn * q[0] - 1.0
+    for k in range(1, n):
+        q[k + 1] = ((2 * k + 1) * zn * q[k] - k * q[k - 1]) / (k + 1)
+    ratios = [np.zeros(zf.size)]
+    for k in range(3 * n, 0, -1):
+        ratios.append(k / ((2 * k + 1) * zf - (k + 1) * ratios[-1]))
+    q[0, far] = np.arctanh(1.0 / zf)
+    q[1:, far] = q[0, far] * np.cumprod(ratios[:-n - 1:-1], axis=0)
+    k = np.arange(1, n)
+    out = np.empty((z.size, n))
+    out[:, 0] = np.where(far, 2.0 * q[1] + lp + lm, (z + 1.0) * lp - (z - 1.0) * lm - 2.0)
+    out[:, 1:] = (2.0 * (q[2:] - q[:-2])).T / (2 * k + 1)
+    out[edge] = sign ** np.arange(n) * np.append(2.0 * math.log(2.0) - 2.0, -2.0 / (k * (k + 1)))
     return out
 
 
-def _potential_grid_density(grid: GridBackedDensity, x: float) -> float:
-    """Potential of a piecewise-constant density: per-cell Gauss-Legendre.
-
-    The cell holding x and its two neighbours are graded toward both of
-    their ends, and the cell holding x also toward x, since x may sit on the
-    edge of a cell or near it.  All other cells are smooth and take a single
-    32-node panel.
-    """
-    n = grid.n_cells
-    nodes, weights = kernels._gl_rule(32)
-    lo = np.arange(n) / n
-    xs = lo[:, None] + nodes[None, :] / n
-    vals = kernel_T(x - xs) @ weights / n
-    rep = x % 1.0
-    own = int(np.floor(rep * n)) % n
-    near = sorted({(own + d) % n for d in (-1, 0, 1)})
-    vals[near] = 0.0
-    base = float(grid.values @ vals)
-
-    def integrand(y):
-        return kernel_T(x - np.asarray(y, dtype=float))
-
-    return base + math.fsum(
-        grid.values[c] * kernels.integrate_piece(
-            integrand, c / n, (c + 1) / n, DEFAULT_SPEC,
-            log_at=rep if c == own else None, grade_ends=True)
-        for c in near)
+def _density_potential(fixed: _FixedNodes, xs: np.ndarray) -> np.ndarray:
+    """W * rho at every x: the box field over the nodes off the panel holding
+    x and its two neighbours, and the split kernel on those three panels, in
+    blocks of about ``_BLOCK_DOUBLES`` doubles."""
+    edges, field, coef = fixed.edges, fixed.field, fixed.coef
+    n_panels = edges.size - 1
+    rel = edges[0] + (xs - edges[0]) % 1.0
+    p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, n_panels - 1)
+    # the nodes of panels p - 1, p and p + 1 give way to the split kernel
+    local = ((p - 1) * _PANEL_NODES + fixed.first) % field.angles.size
+    out = field(rel, (local, np.full(xs.size, 3 * _PANEL_NODES)))
+    ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
+    w_rho = np.roll(field.weights, -fixed.first).reshape(n_panels, _PANEL_NODES)
+    t = 2.0 * kernels._gl_rule(_PANEL_NODES)[0] - 1.0  # the nodes of [-1, 1]
+    block = max(1, _BLOCK_DOUBLES // (3 * _PANEL_NODES))
+    for i in range(0, xs.size, block):
+        x = rel[i:i + block, None]
+        q = p[i:i + block, None] + np.arange(-1, 2)  # panels p - 1, p, p + 1
+        lo, hi = ext[q + 1], ext[q + 2]              # unwrapped across the seam
+        h = 0.5 * (hi - lo)
+        z = ((x - lo) - (hi - x)) / (hi - lo)
+        q %= n_panels
+        c = coef[q]
+        smooth = -np.log(2.0 * np.pi * np.sinc(h[..., None] * (z[..., None] - t)))
+        logs = 2.0 * np.log(h) * c[..., 0] + (_log_moments(z.ravel()).reshape(c.shape) * c).sum(-1)
+        out[i:i + block] += np.einsum("tpj,tpj->t", smooth, w_rho[q]) - (h * logs).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +914,7 @@ def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     if isinstance(rho.density, GridBackedDensity):
         return _discrepancy_grid(rho)  # generic scan, no parity needed
     if not rho.even:
-        raise NotEven("discrepancy_mixed requires the even-parity flag")
+        raise NotEven("discrepancy_mixed requires a measure symmetric about 0")
     if isinstance(rho.density, TypeITDensity):
         m = rho.density.m
         return 2.0 * m, IntervalT(0.0, 0.0)
@@ -1006,7 +1005,10 @@ def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
     potential is strictly convex between atoms, and the constructed families
     have flat or smooth bottoms, so the local search is reliable.  For a
     mixed measure the whole grid is one call of ``MixedMeasureT.potential``,
-    and so is each step of the search.
+    and so is each step of the search.  Where the potential is flat to
+    rounding, as on the support of ``rho_type1(m)``, the angle is any point
+    of the flat set: it can move with any change of rounding, while the
+    height does not.
     """
     if grid_n < 256:
         raise DomainError("grid_n must be at least 256")
@@ -1221,5 +1223,4 @@ def measure_from_json(doc: dict):
     return MixedMeasureT(
         diracs=tuple((a, m) for a, m in doc.get("diracs", [])),
         density=density,
-        even=bool(doc.get("even", True)),
     )

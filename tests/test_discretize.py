@@ -65,8 +65,7 @@ class TestMomentMatch:
 
 class TestDiscretize:
     def test_uniform_density(self):
-        uni = MixedMeasureT(diracs=(), density=UniformPlusDensity(np.zeros(1)),
-                            even=True)
+        uni = MixedMeasureT(diracs=(), density=UniformPlusDensity(np.zeros(1)))
         em = discretize_measure(uni, 8)
         assert em.n_atoms == 8
         assert np.allclose(em.weights, 0.125, atol=1e-10)

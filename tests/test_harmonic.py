@@ -91,7 +91,7 @@ class TestGanelius:
         # osc(v) = D[rho] for even densities with a single deficit window
         coeffs = np.array([0.6, 0.12])
         up = UniformPlusDensity(coeffs)
-        rho_m = MixedMeasureT(diracs=(), density=up, even=True)
+        rho_m = MixedMeasureT(diracs=(), density=up)
         d, _ = discrepancy_mixed(rho_m)
         rep = ganelius_check(up.evaluate(THETA))
         assert rep.osc_v == pytest.approx(d, abs=1e-6)
@@ -100,7 +100,7 @@ class TestGanelius:
         # pi * max u = H[rho] via the measure-side machinery
         up = UniformPlusDensity(np.array([0.5, -0.2, 0.1]))
         u, _ = conjugate_pair(up.evaluate(THETA))
-        h, _ = height_T(MixedMeasureT(diracs=(), density=up, even=True), 512)
+        h, _ = height_T(MixedMeasureT(diracs=(), density=up), 512)
         assert math.pi * float(u.max()) == pytest.approx(h, abs=1e-6)
 
 

@@ -106,6 +106,13 @@ class TestLogSingular:
         assert integrate_log_singular(f, -0.5, 1.0, 0.0) == \
             integrate_log_singular(f, -0.5, 1.0, 0.0)
 
+    def test_scalar_only_integrand_raises(self):
+        # an integrand gets the whole node array in one call, never one point
+        with pytest.raises(TypeError):
+            integrate_log_singular(lambda x: math.log(abs(x)), -1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="must map an array of nodes"):
+            integrate_log_singular(lambda x: 1.0, -1.0, 1.0, 0.0)
+
 
 class TestPrincipalValue:
     def test_odd_pole(self):

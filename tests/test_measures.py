@@ -165,8 +165,7 @@ def grid_cumulative_discrepancy_oracle(rho: MixedMeasureT, n: int = 200_001):
 
 class TestMixed:
     def test_uniform_height_and_discrepancy(self):
-        uni = MixedMeasureT(diracs=(), density=UniformPlusDensity(np.zeros(1)),
-                            even=True)
+        uni = MixedMeasureT(diracs=(), density=UniformPlusDensity(np.zeros(1)))
         h, _ = height_T(uni, 256)
         assert abs(h) <= 1e-8
         d, _ = discrepancy_mixed(uni)
@@ -176,9 +175,27 @@ class TestMixed:
 
     def test_not_even_rejected(self):
         rho = MixedMeasureT(diracs=(), density=UniformPlusDensity(
-            np.array([0.1]), np.array([0.3])), even=False)
+            np.array([0.1]), np.array([0.3])))
         with pytest.raises(NotEven):
             discrepancy_mixed(rho)
+
+    def test_parity_is_derived_from_density_and_diracs(self):
+        # 1 + 0.5 sin(2 pi x): D = 1/(2 pi), which the even scan cannot see
+        odd = MixedMeasureT((), UniformPlusDensity(np.array([0.0]), np.array([0.5])))
+        assert not odd.even
+        with pytest.raises(NotEven):
+            discrepancy_mixed(odd)
+        doc = measure_to_json(odd)
+        assert doc["even"] is False
+        assert not measure_from_json({**doc, "even": True}).even
+        uni = UniformPlusDensity(np.zeros(1))
+        assert not MixedMeasureT(((0.1, 0.5),), uni).even
+        assert not MixedMeasureT(((-0.1, 0.4), (0.1, 0.5)), uni).even
+        assert MixedMeasureT(((-0.1, 0.5), (0.1, 0.5)), uni).even
+        assert MixedMeasureT(((-0.5, 1.0),), None).even
+        # cell k = [k/n, (k+1)/n) mirrors onto cell n - 1 - k
+        assert GridBackedDensity(np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0])).even
+        assert not GridBackedDensity(np.array([4.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])).even
 
     def test_type1_discrepancy_is_dirac_mass(self):
         rho = rho_type1(0.2)
@@ -225,7 +242,7 @@ class TestMixed:
         assert g2 == pytest.approx(0.5, abs=5e-4)
 
     def test_dirac_height(self):
-        rho = MixedMeasureT(diracs=((0.0, 1.0),), density=None, even=True)
+        rho = MixedMeasureT(diracs=((0.0, 1.0),), density=None)
         h, arg = height_T(rho, 256)
         assert h == pytest.approx(math.log(2.0), abs=1e-9)
 
@@ -239,13 +256,13 @@ class TestMixed:
     def test_grid_backed_discrepancy(self):
         from etlab.measures import GridBackedDensity
         vals = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
-        rho = MixedMeasureT(diracs=(), density=GridBackedDensity(vals), even=True)
+        rho = MixedMeasureT(diracs=(), density=GridBackedDensity(vals))
         d, w = discrepancy_mixed(rho)
         assert d == pytest.approx(0.5, abs=1e-12)
         assert w.length == pytest.approx(0.5, abs=1e-12)
         # uneven grid-backed densities take the generic scan, no parity needed
         vals2 = np.array([4.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-        rho2 = MixedMeasureT(diracs=(), density=GridBackedDensity(vals2), even=False)
+        rho2 = MixedMeasureT(diracs=(), density=GridBackedDensity(vals2))
         d2, w2 = discrepancy_mixed(rho2)
         # wrap arc over cells 7, 0, 1: mass 1.0 minus length 3/8
         assert d2 == pytest.approx(1.0 - 0.375, abs=1e-12)
@@ -338,7 +355,7 @@ class TestSerialization:
         rho_type1(0.2),
         rho_type2(0.13, 0.22, 0.05),
         MixedMeasureT(diracs=(), density=UniformPlusDensity(
-            np.array([0.2, 0.1]), np.array([0.0, -0.05])), even=False),
+            np.array([0.2, 0.1]), np.array([0.0, -0.05]))),
     ])
     def test_mixed_roundtrip(self, rho):
         doc = json.loads(json.dumps(measure_to_json(rho)))
@@ -373,7 +390,7 @@ class TestDensityFamilies:
 
     def test_uniform_plus_potential_closed_form(self):
         up = UniformPlusDensity(np.array([0.3, -0.1]), np.array([0.05, 0.2]))
-        rho = MixedMeasureT(diracs=(), density=up, even=False)
+        rho = MixedMeasureT(diracs=(), density=up)
         for x in (0.13, -0.37, 0.49):
             assert rho.potential(x) == pytest.approx(
                 float(up.potential_exact(np.array([x]))[0]), abs=1e-9)

@@ -3,10 +3,14 @@
 ``potential_oracle`` is the per-point graded quadrature that
 ``MixedMeasureT.potential`` ran before it was batched: one adaptive rule per
 density piece and per target, graded toward the target and the piece ends.
-``dense_density_potential`` is the batched pass as it ran before its fixed
-nodes went through the box field: the kernel at every target and every fixed
-node.  ``dense_potential`` is the plain kernel sum over every (target, atom)
-pair that ``EmpiricalMeasure.potential`` ran before its box far field.
+``dense_density_potential`` is the batched pass as it ran before kernel
+splitting: the kernel at every target and every fixed node off the three
+panels around the target, and on those panels the singularity subtraction
+rho(y) - rho(x) with a rule graded 20 levels toward the target.  The Legendre
+log-moments of the split kernel are checked against ``mpmath.quad``, and a
+grid-backed density against the Clausen closed form.  ``dense_potential`` is
+the plain kernel sum over every (target, atom) pair that
+``EmpiricalMeasure.potential`` ran before its box far field.
 """
 
 import math
@@ -73,7 +77,7 @@ FAMILIES = {
     "periodized_II": lambda: periodize(make_admissible(2.1, 0.1)),
     "periodized_III": lambda: periodize(make_admissible(1.4, 0.1)),
     "uniform_plus": lambda: MixedMeasureT(diracs=(), density=UniformPlusDensity(
-        np.array([0.3, -0.1]), np.array([0.05, 0.2])), even=False),
+        np.array([0.3, -0.1]), np.array([0.05, 0.2]))),
 }
 
 
@@ -148,10 +152,22 @@ def test_bitwise_reproducible(monkeypatch):
     assert len(builds) == 2  # once per measure, not per call of the search
 
 
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1]: 16 Gauss-Legendre nodes on each of 21
+    panels graded dyadically 20 levels toward 0 (sliver kept)."""
+    panels = kernels._split_toward(0.0, 1.0, True, 20)
+    a, b = np.array([p[:2] for p in panels]).T
+    nodes, weights = kernels._gl_rule(16)
+    return ((a[:, None] + (b - a)[:, None] * nodes).ravel(),
+            ((b - a)[:, None] * weights).ravel())
+
+
 def dense_density_potential(rho: MixedMeasureT, x) -> np.ndarray:
-    """W * rho at every x: the Dirac sum, the kernel at every (target, fixed
-    node) pair off the panels p - 1, p and p + 1 around the target, and the
-    rule graded toward the target on those three panels."""
+    """W * rho at every x: the Dirac sum, and the integral of
+    W(x - y) (rho(y) - rho(x)), which is W * rho since W integrates to 0,
+    by the kernel at every (target, fixed node) pair off the panels p - 1, p
+    and p + 1 around the target and by a rule graded toward the target on
+    those three panels."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     edges = rho._fixed_nodes.edges
     nodes, weights = kernels._gl_rule(measures._PANEL_NODES)
@@ -165,7 +181,7 @@ def dense_density_potential(rho: MixedMeasureT, x) -> np.ndarray:
     ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
     before, after = rel - ext[p], ext[p + 3] - rel
     rho_x = dens(xs)
-    u, wu = measures._local_rule()
+    u, wu = _graded_rule()
     out = np.zeros(xs.size)
     if rho.diracs:
         pos, mass = np.array(rho.diracs).T
@@ -230,6 +246,39 @@ def test_node_path_evaluates_few_kernels(monkeypatch):
     assert sum(evals) < xs.size * n_nodes / 4
 
 
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1 - 1e-12, -(1 - 1e-12), 1.0, -1.0, 1 + 1e-12,
+                               -(1 + 1e-12), 1.0999, 1.1001, 1.5, 2.0, 3.0, 5.0, -3.0, 50.0])
+def test_log_moments_against_mpmath(z):
+    """I_k(z) = int P_k(t) log|z - t| dt for every k of a panel, on both
+    sides of the switch from the forward to the backward recurrence at 1.1
+    and next to the panel edges z = +-1.  The substitution u = t - z puts
+    the singularity on a breakpoint at 0, which the quadrature never hits."""
+    got = measures._log_moments(np.array([z]))[0]
+    assert got.shape == (measures._PANEL_NODES,)
+    zz = mpmath.mpf(z)
+    ends = [-1 - zz, 0, 1 - zz] if abs(z) < 1.0 else [-1 - zz, 1 - zz]
+    with mpmath.workdps(30):
+        want = [mpmath.quad(lambda u: mpmath.legendre(k, zz + u) * mpmath.log(abs(u)), ends)
+                for k in range(got.size)]
+    assert np.max(np.abs(got - np.array(want, dtype=float))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["grid_backed"])
+def test_density_read_only_at_the_fixed_nodes(name, monkeypatch):
+    """Once the fixed nodes are built, a call reads the density nowhere: the
+    near panels take the interpolant through the cached node values."""
+    rho = (MixedMeasureT(diracs=(), density=GridBackedDensity(np.arange(1.0, 9.0) / 4.5))
+           if name == "grid_backed" else FAMILIES[name]())
+    rho.potential(0.1)
+    points = []
+    evaluate = type(rho.density).evaluate
+    monkeypatch.setattr(type(rho.density), "evaluate",
+                        lambda self, y: points.append(np.size(y)) or evaluate(self, y))
+    assert np.all(np.isfinite(rho.potential(_targets(rho))))
+    height_T(rho, 256)
+    assert sum(points) == 0
+
+
 def _grid_potential_exact(values, x) -> float:
     """Closed form: the integral of W(x - y) over [a, b] is
     [Cl2(2 pi (b - x)) - Cl2(2 pi (a - x))] / (2 pi)."""
@@ -250,7 +299,7 @@ def _grid_potential_exact(values, x) -> float:
     np.array([1.0]),
 ])
 def test_grid_backed_against_clausen_closed_form(values):
-    rho = MixedMeasureT(diracs=(), density=GridBackedDensity(values), even=False)
+    rho = MixedMeasureT(diracs=(), density=GridBackedDensity(values))
     n = values.size
     edges = [j / n for j in range(n)] + [1.0, -0.5]
     near_edges = [1.0 / n + 1e-9, 1.0 / n - 1e-12, 0.5 - 1e-7]

@@ -12,7 +12,7 @@ MODULES = (measures, extremal, discretize, polynomials, harmonic, sediment)
 
 # callable -> parameters it no longer takes (besides ``spec``, which none takes)
 DELETED = {
-    "measures.MixedMeasureT": ("total",),
+    "measures.MixedMeasureT": ("total", "even"),
     "measures.AdmissibleDistR": ("m",),
     "measures.PeriodizedDensity": ("lattice_terms", "cheb_nodes"),
     "measures.discrepancy_mixed": ("grid",),
