@@ -66,69 +66,35 @@ def moment_match_cell(density, a: float, b: float) -> tuple[float, float]:
     return max(m1, 0.0), max(m2, 0.0)
 
 
-def _pieces_mod1(density) -> list[tuple[float, float]]:
-    """Density support pieces re-expressed as subintervals of [0, 1]."""
-    out = []
-    for lo, hi in density.pieces():
-        lo_m = lo % 1.0
-        width = hi - lo
-        if lo_m + width <= 1.0 + 1e-15:
-            out.append((lo_m, min(lo_m + width, 1.0)))
-        else:
-            out.append((lo_m, 1.0))
-            out.append((0.0, lo_m + width - 1.0))
-    return sorted((lo, hi) for lo, hi in out if hi - lo > 1e-15)
-
-
 def discretize_measure(rho: MixedMeasureT, n: int) -> EmpiricalMeasure:
     """Replace the density of rho by endpoint masses on the grid {j/n}.
 
     Dirac atoms are kept verbatim (the customary atom at 0 sits on a cell
-    boundary and is excluded from cell integrals).  Cells interior to a
-    smooth support piece take a single Gauss-Legendre panel, vectorized;
-    cells containing a support edge fall back to the graded integrator.
-    Total mass is preserved to ~1e-12.
+    boundary and is excluded from cell integrals).  Each cell [a, b] gives
+    its endpoints the masses m1 = (b S0 - S1)/(b - a) and m2 = (S1 - a S0)/(b - a)
+    of its 0th and 1st moments S0 and S1, all cells at once from the density's
+    cumulative at the n + 1 grid edges (``_FixedNodes.cumulative``), so the
+    density is read only at its fixed nodes.  Grid points whose mass is not
+    positive are dropped, and a cell whose endpoint masses come out negative
+    raises ``NegativeDensity``.  Total mass is preserved to ~1e-12.
     """
     if n < 2:
         raise DomainError("need at least 2 cells")
-    if rho.density is None:
-        return EmpiricalMeasure.from_pairs(list(rho.diracs))
-    dens = rho.density.evaluate
-    grid_mass = np.zeros(n + 1)
+    pos, mass = np.array(rho.diracs, dtype=float).reshape(-1, 2).T
+    fixed = rho._fixed_nodes
+    if fixed is None:
+        return EmpiricalMeasure(pos, mass)
     edges = np.arange(n + 1) / n
-    nodes, weights = kernels._gl_rule(32)
-
-    for lo, hi in _pieces_mod1(rho.density):
-        j_lo = int(np.floor(lo * n))
-        j_hi = int(np.ceil(hi * n))
-        for j in range(j_lo, j_hi):
-            a, b = edges[j], edges[j + 1]
-            fa, fb = max(a, lo), min(b, hi)
-            if fb - fa <= 1e-15:
-                continue
-            interior = (fa == a) and (fb == b)
-            if interior:
-                xs = a + (b - a) * nodes
-                vals = dens(xs)
-                s0 = float((b - a) * (vals @ weights))
-                s1 = float((b - a) * ((xs * vals) @ weights))
-                m1 = (b * s0 - s1) / (b - a)
-                m2 = (s1 - a * s0) / (b - a)
-            else:
-                m1f, m2f = moment_match_cell(dens, fa, fb)
-                # re-express the fragment masses on the full cell endpoints,
-                # preserving both moments
-                s0 = m1f + m2f
-                s1 = m1f * fa + m2f * fb
-                m1 = (b * s0 - s1) / (b - a)
-                m2 = (s1 - a * s0) / (b - a)
-            grid_mass[j] += m1
-            grid_mass[j + 1] += m2
-    grid_mass[0] += grid_mass[n]
-    grid_mass[n] = 0.0
-    pairs = [(pos, m) for pos, m in rho.diracs]
-    pairs += [(edges[j], grid_mass[j]) for j in range(n) if grid_mass[j] > 0.0]
-    return EmpiricalMeasure.from_pairs(pairs)
+    c0, c1 = fixed.cumulative(edges)
+    s0, s1 = np.diff(c0), np.diff(c1)
+    m2 = (s1 - edges[:-1] * s0) / np.diff(edges)
+    m1 = s0 - m2
+    if np.any(np.minimum(m1, m2) < -1e-10 * np.maximum(1.0, np.abs(s0))):
+        raise NegativeDensity("moment masses came out negative; density must be >= 0")
+    grid_mass = m1 + np.roll(m2, 1)  # point j/n takes m1 of cell j and m2 of cell j - 1
+    keep = grid_mass > 0.0
+    return EmpiricalMeasure(np.concatenate((pos, edges[:-1][keep])),
+                            np.concatenate((mass, grid_mass[keep])))
 
 
 def rationalize(rho: EmpiricalMeasure, q: int) -> EmpiricalMeasure:

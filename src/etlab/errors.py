@@ -37,10 +37,6 @@ class EmptyMeasure(EtLabError):
     """Operation requires at least one atom or a nonzero density."""
 
 
-class NotEven(EtLabError):
-    """Operation requires an even (reflection-symmetric) measure."""
-
-
 class ZeroDiscrepancy(EtLabError):
     """Ratio functional undefined: the discrepancy vanishes."""
 

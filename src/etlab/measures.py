@@ -22,7 +22,10 @@ level of boxes, within about 1e-15 of the plain kernel sum.
 graded toward the density's kinks go through the engine, and the panels next
 to x take the kernel split -log|x - y| + smooth, product-integrated against
 rho's interpolant on each panel (``_density_potential``).
-``height_T`` samples its whole grid in one such call.
+``height_T`` samples its whole grid in one such call.  The mass, the
+discrepancy and the discretization (``discretize.discretize_measure``) read
+the same interpolants through one cumulative, ``_FixedNodes.cumulative``, so
+every functional reads a density only at its fixed nodes, once per measure.
 """
 
 from __future__ import annotations
@@ -36,13 +39,8 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect, golden_min
-from .errors import (
-    DomainError,
-    EmptyMeasure,
-    NotEven,
-    ZeroDiscrepancy,
-)
-from .kernels import DEFAULT_SPEC, TIGHT_SPEC, QuadratureSpec, kernel_T
+from .errors import DomainError, EmptyMeasure, ZeroDiscrepancy
+from .kernels import TIGHT_SPEC, kernel_T
 
 __all__ = [
     "Angle",
@@ -384,10 +382,6 @@ class TypeITDensity:
     def gap(self) -> float:
         return math.asin(2.0 * self.m) / math.pi
 
-    @property
-    def even(self) -> bool:
-        return True
-
     def evaluate(self, x) -> np.ndarray:
         xs = _canonical_array(x)
         s2 = np.sin(np.pi * xs) ** 2
@@ -414,10 +408,6 @@ class TypeIITDensity:
         if not (0.0 <= self.L < self.M < self.R < 0.5):
             raise DomainError(
                 f"need 0 <= L < M < R < 1/2, got L={self.L}, M={self.M}, R={self.R}")
-
-    @property
-    def even(self) -> bool:
-        return True
 
     def dirac_mass(self) -> float:
         M, R, L = self.M, self.R, self.L
@@ -462,11 +452,6 @@ class GridBackedDensity:
     def n_cells(self) -> int:
         return int(self.values.size)
 
-    @property
-    def even(self) -> bool:
-        # x -> -x maps cell k onto cell n - 1 - k
-        return bool(np.allclose(self.values, self.values[::-1], atol=1e-12))
-
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float) % 1.0
         idx = np.minimum((xs * self.n_cells).astype(int), self.n_cells - 1)
@@ -494,10 +479,6 @@ class UniformPlusDensity:
             raise DomainError("cos and sin coefficients must be finite")
         object.__setattr__(self, "cos_coeffs", c)
         object.__setattr__(self, "sin_coeffs", s)
-
-    @property
-    def even(self) -> bool:
-        return bool(np.all(self.sin_coeffs == 0.0))
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -649,10 +630,6 @@ class PeriodizedDensity:
             x = lo + (hi - lo) * np.sin(phi) ** 2
             self._coeffs.append(_cheb_fit(self.evaluate_direct(x)))
 
-    @property
-    def even(self) -> bool:
-        return True
-
     def evaluate_direct(self, x) -> np.ndarray:
         """Truncated lattice sum plus polygamma tail (no interpolation)."""
         from scipy.special import polygamma  # deferred: scipy is slow to import
@@ -711,14 +688,6 @@ class MixedMeasureT:
         object.__setattr__(self, "diracs", tuple(sorted(clean)))
 
     @property
-    def even(self) -> bool:
-        """An even density (or none) and Diracs symmetric about 0 to 1e-13,
-        since canonical angles round: canonical_angle(0.3) = 0.3 + 5.6e-17."""
-        mirror = sorted((canonical_angle(-a), m) for a, m in self.diracs)
-        return (self.density is None or self.density.even) and np.allclose(
-            mirror, self.diracs, rtol=0.0, atol=1e-13)
-
-    @property
     def dirac_total(self) -> float:
         return float(math.fsum(m for _, m in self.diracs))
 
@@ -728,12 +697,10 @@ class MixedMeasureT:
         return self.density.evaluate(x)
 
     def density_mass(self) -> float:
-        if self.density is None:
-            return 0.0
-        vals = [kernels.integrate_piece(self.density.evaluate, lo, hi, DEFAULT_SPEC,
-                                        grade_ends=True)
-                for lo, hi in self.density.pieces()]
-        return math.fsum(vals)
+        """The sum of the fixed-node weights: the integral of rho's panel
+        interpolants, correctly rounded."""
+        fixed = self._fixed_nodes
+        return 0.0 if fixed is None else math.fsum(fixed.field.weights.tolist())
 
     def mass(self) -> float:
         return self.dirac_total + self.density_mass()
@@ -751,12 +718,16 @@ class MixedMeasureT:
         if self.diracs:
             pos, mass = np.array(self.diracs).T
             out += kernel_T(flat[:, None] - pos[None, :]) @ mass
-        if self.density is not None and self.density.pieces():
+        if self._fixed_nodes is not None:
             out += _density_potential(self._fixed_nodes, flat)
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     @cached_property
-    def _fixed_nodes(self) -> "_FixedNodes":
+    def _fixed_nodes(self) -> "_FixedNodes | None":
+        """The nodes every functional reads the density at; None with no
+        density, or one without support."""
+        if self.density is None or not self.density.pieces():
+            return None
         return _FixedNodes.build(self.density)
 
 
@@ -774,7 +745,8 @@ _KINK_LEVELS = 40          # dyadic levels of the end panels toward each kink
 
 @dataclass(frozen=True, eq=False)
 class _FixedNodes:
-    """Fixed quadrature nodes covering [edges[0], edges[0] + 1).
+    """Fixed quadrature nodes covering [edges[0], edges[0] + 1), and the
+    Legendre interpolant of rho through the nodes of each panel.
 
     The density's kinks, the edges of its pieces, split the circle into
     arcs; each arc takes equal panels no wider than 1/16, and its two end
@@ -820,6 +792,32 @@ class _FixedNodes:
         ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
         return cls(edges, first, _BoxField.build(ys, np.roll(w * rho, first)),
                    rho.reshape(widths.size, _PANEL_NODES) @ fit)
+
+    def cumulative(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The integrals of rho(y) and of y rho(y) over [edges[0], t] at each
+        real t, whole turns counted, exact for the panel interpolants.
+        Whole panels are prefix sums (int P_0 = 2 and int u P_1 = 2/3 on
+        [-1, 1]); the panel holding t takes the Legendre antiderivatives
+        A(z) = int_{-1}^z p and B(z) = int_{-1}^z A, since
+        int_{-1}^z u p(u) du = z A(z) - B(z)."""
+        edges, coef = self.edges, self.coef
+        h = 0.5 * np.diff(edges)
+        c0 = np.concatenate(([0.0], np.cumsum(2.0 * h * coef[:, 0])))
+        c1 = np.concatenate(([0.0], np.cumsum(
+            h * (2.0 * (edges[:-1] + h) * coef[:, 0] + (2.0 / 3.0) * h * coef[:, 1]))))
+        turns = np.floor(t - edges[0])
+        x = t - turns  # in [edges[0], edges[0] + 1) up to rounding
+        p = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, h.size - 1)
+        z = ((x - edges[p]) - (edges[p + 1] - x)) / (2.0 * h[p])
+        anti = np.polynomial.legendre.legint(coef, lbnd=-1.0, axis=1)
+        a = np.polynomial.legendre.legval(z, anti[p].T, tensor=False)
+        b = np.polynomial.legendre.legval(
+            z, np.polynomial.legendre.legint(anti, lbnd=-1.0, axis=1)[p].T, tensor=False)
+        mass, moment = c0[p] + h[p] * a, c1[p] + h[p] * (x * a - h[p] * b)
+        # turn k adds the mass T and the moment M1 + k T of [edges[0] + k, edges[0] + k + 1)
+        total, first = c0[-1], c1[-1]
+        return (turns * total + mass,
+                turns * first + 0.5 * turns * (turns - 1.0) * total + turns * mass + moment)
 
 
 def _log_moments(z: np.ndarray) -> np.ndarray:
@@ -891,109 +889,55 @@ def _density_potential(fixed: _FixedNodes, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _even_window_value(rho: MixedMeasureT, a: float, cum: float) -> float:
-    """F(a) = mass of closed [-a, a] minus its length, given the density cumulative."""
-    dmass = math.fsum(m for pos, m in rho.diracs if abs(pos) <= a + 1e-15)
-    return dmass + cum - 2.0 * a
-
-
-# Rule for the density mass between the best scan point and the refined
-# maximizer in ``discrepancy_mixed``.
-_REFINE_SPEC = QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10, max_refinements=40)
-
-
 def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
-    """Sup of (mass - length) over closed arcs for an even mixed measure.
+    """Sup of (mass - length) over closed arcs of a probability measure,
+    with a maximizing arc.
 
-    Even measures admit a symmetric maximizing arc [-a, a], so the scan is
-    one-dimensional in the half-width a, on a grid of 1025 half-widths plus
-    the piece edges and Dirac radii; next to the best candidate the grid
-    is refined by bisecting F'(a) = rho(a) + rho(-a) - 2.  Grid-backed densities
-    take the generic two-endpoint prefix scan instead.
+    The bookkeeping of ``discrepancy_empirical``: with M the cumulative mass
+    from the first kink, the sup is max_t (M(t+) - t) - min_s (M(s-) - s)
+    over the points where either can peak: the panel edges of the fixed
+    nodes, the Diracs, and the points where rho's interpolant on a panel
+    crosses 1.  The density part of M is ``_FixedNodes.cumulative``, so the
+    density is read only at its fixed nodes.  ``rho_type1(m)`` takes its
+    closed form 2m, the Dirac alone.
     """
-    if isinstance(rho.density, GridBackedDensity):
-        return _discrepancy_grid(rho)  # generic scan, no parity needed
-    if not rho.even:
-        raise NotEven("discrepancy_mixed requires a measure symmetric about 0")
-    if isinstance(rho.density, TypeITDensity):
-        m = rho.density.m
-        return 2.0 * m, IntervalT(0.0, 0.0)
-
-    # candidate half-widths: piece edges, dirac radii, uniform fill
-    radii = {0.0, 0.5}
-    for pos, _ in rho.diracs:
-        radii.add(abs(pos))
-    if rho.density is not None:
-        for lo, hi in rho.density.pieces():
-            for e in (lo, hi):
-                radii.add(min(abs(e), abs(1.0 - abs(e))))
-    radii.update(np.linspace(0.0, 0.5, 1025).tolist())
-    avals = np.array(sorted(r for r in radii if 0.0 <= r <= 0.5))
-
-    dens = rho.density_eval
-
-    def ring(y):
-        y = np.asarray(y, dtype=float)
-        return dens(y) + dens(-y)
-
-    # cumulative of the density over [-a, a], accumulated segment by segment
-    cums = np.zeros_like(avals)
-    nodes, weights = kernels._gl_rule(16)
-    seg_lo = avals[:-1]
-    seg_hi = avals[1:]
-    xs = seg_lo[:, None] + (seg_hi - seg_lo)[:, None] * nodes[None, :]
-    seg_vals = (ring(xs.ravel()).reshape(xs.shape) @ weights) * (seg_hi - seg_lo)
-    cums[1:] = np.cumsum(seg_vals)
-
-    best = int(np.argmax([_even_window_value(rho, a, c) for a, c in zip(avals, cums)]))
-    best_a, best_f = avals[best], _even_window_value(rho, avals[best], cums[best])
-
-    # refine inside the neighboring segments where F'(a) = ring(a) - 2 falls
-    # through 0, by 60 bisection halvings of each
-    ks = np.array([k for k in (best - 1, best) if 0 <= k and k + 1 < avals.size], dtype=int)
-    lo, hi = avals[ks], avals[ks + 1]
-    falls = (ring(lo + 1e-13) - 2.0 > 0.0) & (ring(hi - 1e-13) - 2.0 < 0.0) & (hi - lo > 1e-13)
-    ks, lo, hi = ks[falls], lo[falls], hi[falls]
-    a_stars = bisect(lambda a: ring(a) - 2.0 > 0.0, lo, hi, (hi - lo) * 2.0**-60)
-    for k, a_star in zip(ks, a_stars):
-        extra = kernels.integrate_piece(ring, avals[k], a_star, _REFINE_SPEC,
-                                        grade_ends=True) if a_star > avals[k] else 0.0
-        f_star = _even_window_value(rho, a_star, cums[k] + extra)
-        if f_star > best_f:
-            best_a, best_f = a_star, f_star
-    return best_f, IntervalT(-best_a, min(2.0 * best_a, 1.0 - 1e-15))
+    if isinstance(rho.density, TypeITDensity) and rho.diracs == ((0.0, 2.0 * rho.density.m),):
+        return 2.0 * rho.density.m, IntervalT(0.0, 0.0)
+    total = rho.mass()
+    if not abs(total - 1.0) <= 1e-9:  # the arcs across the seam assume mass 1
+        raise DomainError(f"expected a probability measure, total mass = {total}")
+    fixed = rho._fixed_nodes
+    base = -0.5 if fixed is None else fixed.edges[0]
+    pos, mass = np.array(rho.diracs, dtype=float).reshape(-1, 2).T
+    pos = base + (pos - base) % 1.0
+    order = np.argsort(pos, kind="stable")
+    pos, dirac_cum = pos[order], np.concatenate(([0.0], np.cumsum(mass[order])))
+    t = pos if fixed is None else np.concatenate((fixed.edges, _crossings(fixed), pos))
+    density = 0.0 if fixed is None else fixed.cumulative(t)[0]
+    a_vals = density + dirac_cum[np.searchsorted(pos, t, side="right")] - (t - base)
+    b_vals = density + dirac_cum[np.searchsorted(pos, t, side="left")] - (t - base)
+    j, i = int(np.argmax(a_vals)), int(np.argmin(b_vals))
+    length = float((t[j] - t[i]) % 1.0) if i != j else 0.0
+    return float(a_vals[j] - b_vals[i]), IntervalT(t[i], min(length, 1.0 - 1e-15))
 
 
-def _discrepancy_grid(rho: MixedMeasureT) -> tuple[float, IntervalT]:
-    """Generic closed-arc scan for piecewise-constant densities.
-
-    Candidate endpoints are the cell boundaries and Dirac positions; with
-    cumulative mass A_j/B_i bookkeeping the scan is linear, mirroring the
-    empirical fast path.
-    """
-    grid = rho.density
-    n = grid.n_cells
-    bounds = np.arange(n + 1) / n
-    masses = np.concatenate(([0.0], np.cumsum(grid.values / n)))
-
-    def cum_mass(t: float, include_diracs_at: bool) -> float:
-        k = int(np.floor(t * n))
-        frac = masses[k] + grid.values[min(k, n - 1)] * (t - bounds[k]) if k < n else masses[-1]
-        for pos, m in rho.diracs:
-            p = pos % 1.0
-            if p < t or (include_diracs_at and abs(p - t) <= 1e-15):
-                frac += m
-        return frac
-
-    cands = sorted({float(b) for b in bounds} | {pos % 1.0 for pos, _ in rho.diracs})
-    a_vals = np.array([cum_mass(t, True) - t for t in cands])
-    b_vals = np.array([cum_mass(t, False) - t for t in cands])
-    j = int(np.argmax(a_vals))
-    i = int(np.argmin(b_vals))
-    value = float(a_vals[j] - b_vals[i])
-    start = cands[i]
-    length = (cands[j] - cands[i]) % 1.0
-    return value, IntervalT(start, min(length, 1.0 - 1e-15))
+def _crossings(fixed: _FixedNodes) -> np.ndarray:
+    """The points where rho's interpolant on a panel crosses 1: bracketed
+    between neighbours among the panel ends and nodes, then bisected, all
+    panels at once.  A missed pair of crossings between two neighbours
+    moves the sup by the mass of that sliver above 1, and an inexact root
+    by the square of its error.  A sign change by at most 1e-12 is no
+    bracket: the fit of a panel equal to 1 rounds to 1.1e-13, and such a
+    bracket would move the sup by less than 1e-12 times its width."""
+    nodes = np.concatenate(([-1.0], 2.0 * kernels._gl_rule(_PANEL_NODES)[0] - 1.0, [1.0]))
+    excess = fixed.coef @ np.polynomial.legendre.legvander(nodes, _PANEL_NODES - 1).T - 1.0
+    above = excess > 0.0
+    panel, k = np.nonzero((above[:, 1:] != above[:, :-1]) & (np.abs(np.diff(excess)) > 1e-12))
+    coef, start = fixed.coef[panel].T, above[panel, k]
+    u = bisect(lambda u: (np.polynomial.legendre.legval(u, coef, tensor=False) > 1.0) == start,
+               nodes[k], nodes[k + 1], 2.0**-42)
+    lo, hi = fixed.edges[panel], fixed.edges[panel + 1]
+    return lo + 0.5 * (hi - lo) * (1.0 + u)
 
 
 def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
@@ -1058,12 +1002,16 @@ def _nearest_atom_distance(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024) -> float:
-    """height / discrepancy**alpha for a circle probability measure."""
+    """height / discrepancy**alpha for a circle probability measure.
+
+    A discrepancy within 1e-14 of 0, the rounding of the mixed scan's O(1)
+    cumulative masses, counts as vanishing.
+    """
     if isinstance(rho, EmpiricalMeasure):
         d, _ = discrepancy_empirical(rho)
     else:
         d, _ = discrepancy_mixed(rho)
-    if d <= 0.0:
+    if d <= 1e-14:
         raise ZeroDiscrepancy("discrepancy vanishes; ratio undefined")
     h, _ = height_T(rho, grid_n)
     return h / d**alpha
@@ -1192,7 +1140,6 @@ def measure_to_json(rho) -> dict:
     return {
         "diracs": [[float(a), float(m)] for a, m in rho.diracs],
         "family": fam,
-        "even": rho.even,
     }
 
 

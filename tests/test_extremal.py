@@ -270,7 +270,6 @@ class TestPeriodize:
         rho = periodize(AdmissibleDistR("I", 0.1))
         assert rho.diracs == ((0.0, pytest.approx(0.1)),)
         assert rho.mass() == pytest.approx(1.0, abs=1e-9)
-        assert rho.even
 
     def test_kind2_height_identity(self):
         mu = AdmissibleDistR("II", 0.1, 2.0)

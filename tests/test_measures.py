@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import assert_sharp_inequality
 from etlab import kernels
-from etlab.errors import DomainError, EmptyMeasure, NotEven, ZeroDiscrepancy
-from etlab.extremal import make_admissible, rho_type1, rho_type2
+from etlab._search import bisect
+from etlab.errors import DomainError, EmptyMeasure, ZeroDiscrepancy
+from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.measures import (
     AdmissibleDistR,
     EmpiricalMeasure,
@@ -152,7 +154,7 @@ class TestEmpirical:
 
 
 def grid_cumulative_discrepancy_oracle(rho: MixedMeasureT, n: int = 200_001):
-    """Dense-grid oracle for the even-window scan: cumulative trapezoid of the
+    """Dense-grid oracle for even measures: cumulative trapezoid of the
     density plus Dirac masses, maximized over symmetric closed windows."""
     a = np.linspace(0.0, 0.5, n)
     ring = rho.density_eval(a) + rho.density_eval(-a)
@@ -161,6 +163,59 @@ def grid_cumulative_discrepancy_oracle(rho: MixedMeasureT, n: int = 200_001):
     for pos, mass in rho.diracs:
         dmass[a >= abs(pos) - 1e-12] += mass
     return float(np.max(dmass + cum - 2.0 * a))
+
+
+def even_window_oracle(rho: MixedMeasureT) -> tuple[float, float]:
+    """The scan ``discrepancy_mixed`` ran before the general two-endpoint
+    scan, for measures whose best arc is a window [-a, a]: F(a), the mass of
+    [-a, a] minus 2a, on 1,025 half-widths plus the piece edges and Dirac
+    radii, with the density cumulative by 16 Gauss nodes per segment, then
+    refined where F'(a) = rho(a) + rho(-a) - 2 falls through 0 next to the
+    best half-width.  Returns (D, a)."""
+    def value(a, cum):
+        return math.fsum(m for pos, m in rho.diracs if abs(pos) <= a + 1e-15) + cum - 2.0 * a
+
+    radii = {0.0, 0.5} | {abs(pos) for pos, _ in rho.diracs}
+    for lo, hi in rho.density.pieces():
+        radii |= {min(abs(e), abs(1.0 - abs(e))) for e in (lo, hi)}
+    radii.update(np.linspace(0.0, 0.5, 1025).tolist())
+    avals = np.array(sorted(r for r in radii if 0.0 <= r <= 0.5))
+
+    def ring(y):
+        y = np.asarray(y, dtype=float)
+        return rho.density_eval(y) + rho.density_eval(-y)
+
+    nodes, weights = kernels._gl_rule(16)
+    width = np.diff(avals)
+    xs = avals[:-1, None] + width[:, None] * nodes
+    cums = np.concatenate(([0.0], np.cumsum((ring(xs.ravel()).reshape(xs.shape) @ weights) * width)))
+    best = int(np.argmax([value(a, c) for a, c in zip(avals, cums)]))
+    best_a, best_f = avals[best], value(avals[best], cums[best])
+    ks = np.array([k for k in (best - 1, best) if 0 <= k and k + 1 < avals.size], dtype=int)
+    lo, hi = avals[ks], avals[ks + 1]
+    falls = (ring(lo + 1e-13) - 2.0 > 0.0) & (ring(hi - 1e-13) - 2.0 < 0.0) & (hi - lo > 1e-13)
+    ks, lo, hi = ks[falls], lo[falls], hi[falls]
+    spec = kernels.QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10, max_refinements=40)
+    for k, a_star in zip(ks, bisect(lambda a: ring(a) - 2.0 > 0.0, lo, hi, (hi - lo) * 2.0**-60)):
+        extra = kernels.integrate_piece(ring, avals[k], a_star, spec, grade_ends=True) \
+            if a_star > avals[k] else 0.0
+        if value(a_star, cums[k] + extra) > best_f:
+            best_a, best_f = a_star, value(a_star, cums[k] + extra)
+    return best_f, best_a
+
+
+# even measures whose best arc is a window [-a, a]
+EVEN_WINDOWS = {
+    "type2_0.034": lambda: rho_type2(0.13, 0.22, 0.034),
+    "type2_0.05": lambda: rho_type2(0.13, 0.22, 0.05),
+    "type2_L0": lambda: rho_type2(0.13, 0.3, 0.0),
+    "periodized_I": lambda: periodize(AdmissibleDistR("I", 0.1)),
+    "periodized_II": lambda: periodize(make_admissible(2.1, 0.1)),
+    "periodized_III": lambda: periodize(make_admissible(1.4, 0.1)),
+    "periodized_III_wide": lambda: periodize(make_admissible(1.4, 0.2)),
+    "periodized_III_narrow": lambda: periodize(make_admissible(1.1, 0.05)),
+    "cosines": lambda: MixedMeasureT((), UniformPlusDensity(np.array([0.6, 0.12]))),
+}
 
 
 class TestMixed:
@@ -173,29 +228,76 @@ class TestMixed:
         with pytest.raises(ZeroDiscrepancy):
             g_ratio(uni)
 
-    def test_not_even_rejected(self):
+    def test_uneven_density_closed_form(self):
+        # 1 + a cos 2 pi x + b sin 2 pi x: the arc where the density exceeds 1,
+        # half a turn long, holds sqrt(a^2 + b^2) / pi more than its length
         rho = MixedMeasureT(diracs=(), density=UniformPlusDensity(
             np.array([0.1]), np.array([0.3])))
-        with pytest.raises(NotEven):
-            discrepancy_mixed(rho)
+        d, w = discrepancy_mixed(rho)
+        assert d == pytest.approx(math.sqrt(0.1) / math.pi, abs=1e-13)
+        assert w.length == pytest.approx(0.5, abs=1e-12)
 
-    def test_parity_is_derived_from_density_and_diracs(self):
-        # 1 + 0.5 sin(2 pi x): D = 1/(2 pi), which the even scan cannot see
+    def test_sine_density_and_documents_without_parity(self):
+        # 1 + 0.5 sin(2 pi x): D = 1/(2 pi) on the arc [0, 1/2]
         odd = MixedMeasureT((), UniformPlusDensity(np.array([0.0]), np.array([0.5])))
-        assert not odd.even
-        with pytest.raises(NotEven):
-            discrepancy_mixed(odd)
+        d, w = discrepancy_mixed(odd)
+        assert d == pytest.approx(0.5 / math.pi, abs=1e-13)
+        assert w.start == pytest.approx(0.0, abs=1e-12)
+        assert w.length == pytest.approx(0.5, abs=1e-12)
         doc = measure_to_json(odd)
-        assert doc["even"] is False
-        assert not measure_from_json({**doc, "even": True}).even
-        uni = UniformPlusDensity(np.zeros(1))
-        assert not MixedMeasureT(((0.1, 0.5),), uni).even
-        assert not MixedMeasureT(((-0.1, 0.4), (0.1, 0.5)), uni).even
-        assert MixedMeasureT(((-0.1, 0.5), (0.1, 0.5)), uni).even
-        assert MixedMeasureT(((-0.5, 1.0),), None).even
-        # cell k = [k/n, (k+1)/n) mirrors onto cell n - 1 - k
-        assert GridBackedDensity(np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0])).even
-        assert not GridBackedDensity(np.array([4.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])).even
+        assert "even" not in doc
+        # documents that still carry the key load, and the key is ignored
+        assert discrepancy_mixed(measure_from_json({**doc, "even": True}))[0] == d
+
+    def test_dirac_pair_off_center(self):
+        # the best arc is the heavier Dirac alone, which no window centred
+        # at 0 holds without the other
+        pairs = ((0.0, 0.4), (0.5, 0.6))
+        d, w = discrepancy_mixed(MixedMeasureT(pairs, None))
+        assert d == pytest.approx(discrepancy_empirical(EmpiricalMeasure.from_pairs(pairs))[0],
+                                  abs=1e-15)
+        assert d == pytest.approx(0.6, abs=1e-15)
+        assert w.start == -0.5 and w.length == 0.0
+
+    def test_non_probability_rejected(self):
+        # the arcs across the seam assume mass 1: the sup of (mass - length)
+        # for half the uniform mass is 0, not the 0.5 of the seam arc
+        for rho in (MixedMeasureT((), GridBackedDensity(np.full(4, 0.5))),
+                    MixedMeasureT(((0.1, 0.5),), None),
+                    MixedMeasureT(((0.0, 0.2),), UniformPlusDensity(np.zeros(1)))):
+            with pytest.raises(DomainError):
+                discrepancy_mixed(rho)
+
+    def test_type2_discrepancy_against_mpmath(self):
+        # the window [-M, M]: both Diracs and the inner arc [-L, L]
+        M, R, L = 0.13, 0.22, 0.034
+        rho = rho_type2(M, R, L)
+        d, w = discrepancy_mixed(rho)
+
+        def density(x):
+            num = (mpmath.sin(mpmath.pi * (x - R)) * mpmath.sin(mpmath.pi * (x + R))
+                   * mpmath.sin(mpmath.pi * (x - L)) * mpmath.sin(mpmath.pi * (x + L)))
+            return mpmath.sqrt(num) / abs(mpmath.sin(mpmath.pi * (x - M))
+                                          * mpmath.sin(mpmath.pi * (x + M)))
+
+        with mpmath.workdps(30):
+            inner = mpmath.quad(density, [-L, 0, L])
+        want = 2.0 * rho.density.dirac_mass() + float(inner) - 2.0 * M
+        assert d == pytest.approx(want, abs=1e-13)
+        assert w.start == pytest.approx(-M, abs=1e-15) and w.length == pytest.approx(2 * M)
+
+    @pytest.mark.parametrize("name", sorted(EVEN_WINDOWS))
+    def test_matches_even_window_oracle(self, name):
+        rho = EVEN_WINDOWS[name]()
+        d, w = discrepancy_mixed(rho)
+        want, a = even_window_oracle(rho)
+        assert d == pytest.approx(want, abs=1e-8)
+        assert w.start == pytest.approx(-a, abs=1e-8)
+        assert w.length == pytest.approx(2.0 * a, abs=1e-8)
+
+    def test_grid_backed_uniform_mass(self):
+        rho = MixedMeasureT((), GridBackedDensity(np.ones(4096)))
+        assert rho.mass() == pytest.approx(1.0, abs=1e-13)
 
     def test_type1_discrepancy_is_dirac_mass(self):
         rho = rho_type1(0.2)
@@ -260,7 +362,7 @@ class TestMixed:
         d, w = discrepancy_mixed(rho)
         assert d == pytest.approx(0.5, abs=1e-12)
         assert w.length == pytest.approx(0.5, abs=1e-12)
-        # uneven grid-backed densities take the generic scan, no parity needed
+        # an uneven one: its best arc wraps through cell 0
         vals2 = np.array([4.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
         rho2 = MixedMeasureT(diracs=(), density=GridBackedDensity(vals2))
         d2, w2 = discrepancy_mixed(rho2)

@@ -15,6 +15,7 @@ the plain kernel sum over every (target, atom) pair that
 
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from etlab import kernels, measures
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
+from etlab.errors import NegativeDensity
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.kernels import TIGHT_SPEC, kernel_T
 from etlab.measures import (
@@ -33,6 +35,7 @@ from etlab.measures import (
     UniformPlusDensity,
     _canonical_array,
     canonical_angle,
+    discrepancy_mixed,
     height_T,
 )
 
@@ -265,8 +268,9 @@ def test_log_moments_against_mpmath(z):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["grid_backed"])
 def test_density_read_only_at_the_fixed_nodes(name, monkeypatch):
-    """Once the fixed nodes are built, a call reads the density nowhere: the
-    near panels take the interpolant through the cached node values."""
+    """Once the fixed nodes are built, no functional reads the density: the
+    near panels of the potential take the interpolant through the cached
+    node values, and the mass, D and the discretization its cumulative."""
     rho = (MixedMeasureT(diracs=(), density=GridBackedDensity(np.arange(1.0, 9.0) / 4.5))
            if name == "grid_backed" else FAMILIES[name]())
     rho.potential(0.1)
@@ -276,6 +280,11 @@ def test_density_read_only_at_the_fixed_nodes(name, monkeypatch):
                         lambda self, y: points.append(np.size(y)) or evaluate(self, y))
     assert np.all(np.isfinite(rho.potential(_targets(rho))))
     height_T(rho, 256)
+    assert rho.mass() == pytest.approx(1.0, abs=1e-12)
+    discrepancy_mixed(rho)
+    # the periodized densities dip below 0, which discretization refuses
+    with pytest.raises(NegativeDensity) if name.startswith("periodized") else nullcontext():
+        discretize_measure(rho, 256)
     assert sum(points) == 0
 
 
