@@ -145,10 +145,19 @@ class PolynomialSpec:
         return c * self.leading
 
     def a0_an_magnitude(self) -> float:
-        """|a_0 a_n| without expanding the root product."""
+        """|a_0 a_n| without expanding the root product; inf where it
+        overflows a double (log_a0_an_magnitude stays finite there)."""
+        lead = abs(self.leading)
         if self.has_roots:
-            return abs(self.leading) ** 2 * float(np.prod(self.moduli))
-        return abs(self.coeffs[0] * self.coeffs[-1])
+            return lead * lead * float(np.prod(self.moduli))
+        return float(abs(self.coeffs[0])) * float(abs(self.coeffs[-1]))
+
+    def log_a0_an_magnitude(self) -> float:
+        """log |a_0 a_n| without expanding the root product; stays finite
+        where |a_0 a_n| itself overflows (e.g. |a_n| = 1e308)."""
+        if self.has_roots:
+            return 2.0 * math.log(abs(self.leading)) + float(np.log(self.moduli).sum())
+        return math.log(abs(self.coeffs[0])) + math.log(abs(self.coeffs[-1]))
 
     def log_abs_on_circle(self, theta) -> np.ndarray:
         """log |f(e^{2 pi i theta})|, stable in the root form."""
@@ -190,11 +199,11 @@ def max_log_modulus(f: PolynomialSpec) -> tuple[float, float]:
 
 def height_poly(f: PolynomialSpec) -> float:
     """(1/n) log( max_{|z|=1} |f| / sqrt|a_0 a_n| )."""
-    mag = f.a0_an_magnitude()
-    if mag == 0.0 or not np.isfinite(mag):
+    log_mag = f.log_a0_an_magnitude()
+    if not math.isfinite(log_mag):
         raise ZeroCoefficient("height needs nonzero, finite a_0 and a_n")
     peak, _ = max_log_modulus(f)
-    return (peak - 0.5 * math.log(mag)) / f.degree
+    return (peak - 0.5 * log_mag) / f.degree
 
 
 def empirical_from_roots(f: PolynomialSpec) -> EmpiricalMeasure:

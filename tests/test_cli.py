@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from etlab.cli import _print_json, run
@@ -378,6 +378,7 @@ class TestDocumentFuzz:
 
     @fuzz
     @given(doc=POLY_DOCS)
+    @example(doc={"leading": [0.0, 1e308], "roots": [[1.0, 0.0]]})
     def test_check_poly(self, tmp_path, capsys, doc):
         self.run_doc(tmp_path, capsys, "check-poly", doc)
 

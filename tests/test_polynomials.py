@@ -66,6 +66,13 @@ class TestHeights:
         assert height_poly(unit_roots([k / 8 for k in range(8)])) == pytest.approx(
             math.log(2.0) / 8.0, abs=1e-10)
 
+    def test_overflowing_a0_an(self):
+        # f = 1e308 i (z - 1): |a_0 a_n| = 1e616 overflows a double, H = log 2 does not
+        f = PolynomialSpec(moduli=np.array([1.0]), angles=np.array([0.0]), leading=1e308j)
+        assert f.a0_an_magnitude() == math.inf
+        assert f.log_a0_an_magnitude() == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
+        assert height_poly(f) == pytest.approx(math.log(2.0), abs=1e-10)
+
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ZeroCoefficient):
             PolynomialSpec(moduli=np.array([0.0]), angles=np.array([0.0]))
