@@ -3,16 +3,7 @@ root distributions, with the extremal constructions that realize the sharp
 sqrt(2) constant relating them."""
 
 from .errors import EtLabError
-from .kernels import (
-    DEFAULT_SPEC,
-    TIGHT_SPEC,
-    QuadratureSpec,
-    integrate_log_singular,
-    integrate_sqrt_endpoints,
-    kernel_R,
-    kernel_T,
-    pv_integrate,
-)
+from .kernels import integrate_sqrt_endpoints, kernel_R, kernel_T
 from .measures import (
     AdmissibleDistR,
     EmpiricalMeasure,
@@ -67,17 +58,16 @@ from .harmonic import conjugate_pair, ganelius_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleDistR", "DEFAULT_SPEC", "EmpiricalMeasure", "EtLabError",
-    "EtReport", "ExternalPotentialSpec", "GridDensity", "IntervalT",
-    "MixedMeasureT", "PolynomialSpec", "QuadratureSpec", "TIGHT_SPEC",
-    "canonical_angle", "check_et", "conjugate_pair", "d_tilde",
-    "discrepancy_empirical", "discrepancy_mixed", "discrepancy_poly",
-    "discretize_measure", "energy", "g_ratio", "g_tilde", "ganelius_check",
-    "h_tilde", "height_T", "height_poly", "integrate_log_singular",
+    "AdmissibleDistR", "EmpiricalMeasure", "EtLabError", "EtReport",
+    "ExternalPotentialSpec", "GridDensity", "IntervalT", "MixedMeasureT",
+    "PolynomialSpec", "canonical_angle", "check_et", "conjugate_pair",
+    "d_tilde", "discrepancy_empirical", "discrepancy_mixed",
+    "discrepancy_poly", "discretize_measure", "energy", "g_ratio",
+    "g_tilde", "ganelius_check", "h_tilde", "height_T", "height_poly",
     "integrate_sqrt_endpoints", "kernel_R", "kernel_T", "l_of_r",
     "make_admissible", "max_log_modulus", "measure_from_json",
     "measure_to_json", "micro_diffuse", "minimize_energy",
-    "moment_match_cell", "periodize", "phi", "pv_integrate", "r_critical",
-    "rationalize", "rho_type1", "rho_type2", "schur_reduce",
-    "sharpness_pipeline", "synthesize_poly", "table1",
+    "moment_match_cell", "periodize", "phi", "r_critical", "rationalize",
+    "rho_type1", "rho_type2", "schur_reduce", "sharpness_pipeline",
+    "synthesize_poly", "table1",
 ]

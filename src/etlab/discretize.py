@@ -23,7 +23,6 @@ from . import kernels
 from ._search import bisect
 from .errors import DomainError, NegativeDensity, NonRationalWeights, QTooSmall
 from .extremal import rho_type1
-from .kernels import DEFAULT_SPEC
 from .measures import (
     EmpiricalMeasure,
     MixedMeasureT,
@@ -55,9 +54,8 @@ def moment_match_cell(density, a: float, b: float) -> tuple[float, float]:
     """
     if not b > a:
         raise DomainError(f"need b > a, got [{a}, {b}]")
-    s0 = kernels.integrate_piece(density, a, b, DEFAULT_SPEC, grade_ends=True)
-    s1 = kernels.integrate_piece(
-        lambda x: np.asarray(x, dtype=float) * density(x), a, b, DEFAULT_SPEC, grade_ends=True)
+    s0 = kernels.integrate_piece(density, a, b)
+    s1 = kernels.integrate_piece(lambda x: np.asarray(x, dtype=float) * density(x), a, b)
     m1 = (b * s0 - s1) / (b - a)
     m2 = (s1 - a * s0) / (b - a)
     if min(m1, m2) < -1e-10 * max(1.0, abs(s0)):

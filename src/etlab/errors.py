@@ -10,15 +10,11 @@ class EtLabError(Exception):
 
 
 class QuadratureError(EtLabError):
-    """Base class for singular-quadrature failures."""
+    """Base class for quadrature failures."""
 
 
 class NonFinite(QuadratureError):
-    """Integrand evaluated to a non-finite value away from its declared singularity."""
-
-
-class ToleranceNotMet(QuadratureError):
-    """Refinement budget exhausted before the panel contributions fell below tolerance."""
+    """Integrand evaluated to a non-finite value at a quadrature node."""
 
 
 class PoleOnBoundary(QuadratureError):

@@ -26,7 +26,6 @@ import numpy as np
 from . import kernels
 from ._search import bisect
 from .errors import AtDirac, DomainError, LambdaTooLarge
-from .kernels import TIGHT_SPEC
 from .measures import (
     AdmissibleDistR,
     MixedMeasureT,
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 
+# phi is exact to rounding, so the bisection for L(R) goes to a few ulps of 1
+_L_TOL = 1e-14
+
+
 def phi(L: float, R: float) -> float:
     """pv int_L^R sqrt((R^2-x^2)(x^2-L^2))/(x^2-1) dx, pole at 1, 0 <= L < 1 < R.
 
@@ -64,12 +67,11 @@ def phi(L: float, R: float) -> float:
     if not (0.0 <= L < 1.0 < R):
         raise DomainError(f"need 0 <= L < 1 < R, got L={L}, R={R}")
 
-    def integrand(x):
+    def g(x):  # the integrand times (x - 1)
         x = np.asarray(x, dtype=float)
-        return np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) \
-            / (x * x - 1.0)
+        return np.sqrt(np.maximum((R - x) * (R + x) * (x - L) * (x + L), 0.0)) / (x + 1.0)
 
-    return kernels.pv_sqrt_composite(integrand, L, R, 1.0, TIGHT_SPEC)
+    return kernels.pv_sqrt_composite(g, L, R, 1.0)
 
 
 def _phi0_closed(R: float) -> float:
@@ -94,18 +96,18 @@ def r_critical() -> float:
 def l_of_r(R: float) -> float:
     """The unique L in (0, 1) with phi(L, R) = 0, for 1 < R < r_critical().
 
-    Bisection to 1e-9 is valid because phi is strictly increasing in L;
-    phi(0+, R) < 0 below the critical radius and phi(L, R) -> positive as L -> 1.
+    Bisection to ``_L_TOL`` (1e-14) is valid because phi is strictly increasing in L;
+    phi(0, R) < 0 below the critical radius and phi(L, R) -> positive as L -> 1.
     """
     rc = r_critical()
     if not (1.0 < R < rc):
         raise DomainError(f"need 1 < R < {rc:.6f}, got R={R}")
-    lo, hi = 1e-6, 1.0 - 1e-6
+    lo, hi = 0.0, 1.0 - 1e-6
     flo = phi(lo, R)
     fhi = phi(hi, R)
     if not (flo < 0.0 < fhi):
         raise DomainError(f"admissibility bracket failed at R={R}: [{flo}, {fhi}]")
-    return float(bisect(lambda L: phi(float(L), R) < 0.0, lo, hi, 1e-9))
+    return float(bisect(lambda L: phi(float(L), R) < 0.0, lo, hi, _L_TOL))
 
 
 def make_admissible(R: float | None, lam: float = 1.0) -> AdmissibleDistR:

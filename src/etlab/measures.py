@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from ._search import bisect, golden_min
 from .errors import DomainError, EmptyMeasure, ZeroDiscrepancy
-from .kernels import TIGHT_SPEC, kernel_T
+from .kernels import kernel_T
 
 __all__ = [
     "Angle",
@@ -700,7 +700,7 @@ class MixedMeasureT:
         """The sum of the fixed-node weights: the integral of rho's panel
         interpolants, correctly rounded."""
         fixed = self._fixed_nodes
-        return 0.0 if fixed is None else math.fsum(fixed.field.weights.tolist())
+        return 0.0 if fixed is None else fixed.mass
 
     def mass(self) -> float:
         return self.dirac_total + self.density_mass()
@@ -758,6 +758,7 @@ class _FixedNodes:
     first: int          # position of panel 0's first node among the sorted nodes
     field: _BoxField    # the nodes, canonical and ascending, weighted w rho
     coef: np.ndarray    # coef[panel, k]: Legendre coefficient k of rho on the panel
+    mass: float         # fsum of the weights: the integral of the interpolants, correctly rounded
 
     @classmethod
     def build(cls, density) -> "_FixedNodes":
@@ -783,6 +784,7 @@ class _FixedNodes:
         y = (edges[:-1, None] + widths[:, None] * nodes).ravel()
         w = (widths[:, None] * weights).ravel()
         rho = density.evaluate(y)
+        w_rho = w * rho
         # values at the Gauss nodes t of [-1, 1] @ fit = the Legendre coefficients
         # of their interpolant, (k + 1/2) w(t) P_k(t) with w(t) = 2 weights
         fit = np.polynomial.legendre.legvander(2.0 * nodes - 1.0, _PANEL_NODES - 1) \
@@ -790,8 +792,8 @@ class _FixedNodes:
         # the nodes at or above 1/2 wrap to the front as y - 1, which is exact
         first = (y.size - int(np.searchsorted(y, 0.5))) % y.size
         ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
-        return cls(edges, first, _BoxField.build(ys, np.roll(w * rho, first)),
-                   rho.reshape(widths.size, _PANEL_NODES) @ fit)
+        return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first)),
+                   rho.reshape(widths.size, _PANEL_NODES) @ fit, math.fsum(w_rho.tolist()))
 
     def cumulative(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The integrals of rho(y) and of y rho(y) over [edges[0], t] at each
@@ -1037,9 +1039,9 @@ def h_tilde(mu: AdmissibleDistR) -> float:
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) / (x + 1.0)
+        return np.sqrt(np.maximum((R - x) * (R + x) * (x - L) * (x + L), 0.0)) / (x + 1.0)
 
-    return lam2 * 2.0 * math.pi * kernels.integrate_sqrt_endpoints(f, L, R, TIGHT_SPEC)
+    return lam2 * 2.0 * math.pi * kernels.integrate_sqrt_endpoints(f, L, R)
 
 
 def d_tilde(mu: AdmissibleDistR) -> float:
@@ -1052,9 +1054,10 @@ def d_tilde(mu: AdmissibleDistR) -> float:
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return np.sqrt(np.maximum((R * R - x * x) * (L * L - x * x), 0.0)) / (1.0 - x * x)
+        return np.sqrt(np.maximum((R - x) * (R + x) * (L - x) * (L + x), 0.0)) \
+            / ((1.0 - x) * (1.0 + x))
 
-    inner = kernels.integrate_sqrt_endpoints(f, -L, L, TIGHT_SPEC)
+    inner = kernels.integrate_sqrt_endpoints(f, -L, L)
     return mu.lam * (2.0 * mu.m - 2.0 + inner)
 
 
@@ -1077,15 +1080,14 @@ def h_tilde_quadrature(mu: AdmissibleDistR) -> float:
             y = np.asarray(y, dtype=float)
             return np.sqrt(np.maximum(invpi**2 - y * y, 0.0))
 
-        return lam2 * math.pi * kernels.integrate_sqrt_endpoints(f, -invpi, invpi, TIGHT_SPEC)
+        return lam2 * math.pi * kernels.integrate_sqrt_endpoints(f, -invpi, invpi)
     R, L = mu.R, mu.L or 0.0
 
-    def g(x):
+    def g(x):  # the integrand times (x - 1)
         x = np.asarray(x, dtype=float)
-        return x * np.sqrt(np.maximum((R * R - x * x) * (x * x - L * L), 0.0)) \
-            / (x * x - 1.0)
+        return x * np.sqrt(np.maximum((R - x) * (R + x) * (x - L) * (x + L), 0.0)) / (x + 1.0)
 
-    return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0, TIGHT_SPEC)
+    return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0)
 
 
 def d_tilde_quadrature(mu: AdmissibleDistR) -> float:
@@ -1100,11 +1102,11 @@ def d_tilde_quadrature(mu: AdmissibleDistR) -> float:
     L = unscaled.L or 0.0
     parts = [2.0 * unscaled.m]
     if L > 0.0:
-        parts.append(kernels.integrate_piece(dens, -L, L, TIGHT_SPEC, grade_ends=True))
-        parts.append(kernels.integrate_piece(dens, L, 1.0, TIGHT_SPEC, grade_ends=True))
-        parts.append(kernels.integrate_piece(dens, -1.0, -L, TIGHT_SPEC, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, -L, L))
+        parts.append(kernels.integrate_piece(dens, L, 1.0))
+        parts.append(kernels.integrate_piece(dens, -1.0, -L))
     else:
-        parts.append(kernels.integrate_piece(dens, -1.0, 1.0, TIGHT_SPEC, grade_ends=True))
+        parts.append(kernels.integrate_piece(dens, -1.0, 1.0))
     return mu.lam * math.fsum(parts)
 
 

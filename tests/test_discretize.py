@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_sharp_inequality
+from graded_quadrature import integrate_piece
 from etlab.discretize import (
     cell_replacement_potential,
     discretize_measure,
@@ -17,7 +18,7 @@ from etlab.discretize import (
 )
 from etlab.errors import NegativeDensity, NonRationalWeights, QTooSmall
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
-from etlab.kernels import _gl_rule, integrate_piece
+from etlab.kernels import _gl_rule
 from etlab.measures import (
     EmpiricalMeasure,
     GridBackedDensity,

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import graded_quadrature as graded
 from etlab import kernels
 from etlab.errors import AtDirac, DomainError, LambdaTooLarge
 from etlab.extremal import (
@@ -62,8 +64,8 @@ def line_potential(mu: AdmissibleDistR, x: float, T: float = 100.0) -> float:
     parts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         log_at = x if lo <= x <= hi else None
-        parts.append(kernels.integrate_piece(integrand, lo, hi, kernels.DEFAULT_SPEC,
-                                             log_at=log_at, grade_ends=True))
+        parts.append(graded.integrate_piece(integrand, lo, hi, graded.DEFAULT_SPEC,
+                                            log_at=log_at, grade_ends=True))
     total = math.fsum(parts)
     for pos, mass in mu.dirac_positions_masses():
         total += mass * kernels.kernel_R(x - pos)
@@ -75,7 +77,28 @@ def line_potential(mu: AdmissibleDistR, x: float, T: float = 100.0) -> float:
     return total + tail
 
 
+def mpmath_phi(L: float, R: float) -> float:
+    """phi at 30 digits with the pole at 1 removed analytically:
+    1/(x^2 - 1) = (1/(x - 1) - 1/(x + 1))/2 and
+    pv int g/(x - 1) = int (g - g(1))/(x - 1) + g(1) log((R - 1)/(1 - L))."""
+    with mpmath.workdps(30):
+        LL, RR = mpmath.mpf(L), mpmath.mpf(R)
+
+        def g(x):
+            return mpmath.sqrt(max(mpmath.mpf(0), (RR * RR - x * x) * (x * x - LL * LL)))
+
+        g1 = g(mpmath.mpf(1))
+        pv = mpmath.quad(lambda x: (g(x) - g1) / (x - 1) if x != 1 else mpmath.diff(g, 1),
+                         [LL, 1, RR]) + g1 * mpmath.log((RR - 1) / (1 - LL))
+        return float((pv - mpmath.quad(lambda x: g(x) / (x + 1), [LL, RR])) / 2)
+
+
 class TestPhi:
+    def test_against_mpmath(self):
+        # L = 0 and L = 1e-6 included: the fixed rule needs no small-L branch
+        for L in (0.0, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.95, 1.0 - 1e-6):
+            for R in (1.0 + 1e-6, 1.01, 1.3, 2.0, 3.0):
+                assert phi(L, R) == pytest.approx(mpmath_phi(L, R), abs=1e-13)
     def test_closed_form_at_l_zero(self):
         closed = math.sqrt(3.0) * math.log(2.0 + math.sqrt(3.0)) - 2.0
         assert phi(0.0, 2.0) == pytest.approx(closed, abs=1e-9)
@@ -135,8 +158,21 @@ class TestCurve:
         ls = [l_of_r(float(R)) for R in rs]
         assert np.all(np.diff(ls) < 0.0)
 
+    @pytest.mark.parametrize("R", [TABLE1_R_GRID[0], TABLE1_R_GRID[9], TABLE1_R_GRID[18]])
+    def test_residual_against_mpmath(self, R):
+        assert abs(mpmath_phi(l_of_r(R), R)) <= 1e-12
+
     def test_vanishes_at_critical(self):
         assert l_of_r(r_critical() - 1e-4) < 0.02
+
+    def test_root_below_1e6_near_critical(self):
+        # L(R) falls below 1e-6 within about 1e-11 of the critical radius,
+        # so the bracket starts at L = 0, where phi has the closed form
+        rc = r_critical()
+        for R in (rc - 1e-10, rc - 1e-12):
+            L = l_of_r(R)
+            assert 0.0 < L < 1e-5
+            assert abs(mpmath_phi(L, R)) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -200,7 +236,7 @@ class TestDensityR:
             vals = admissible_density_line(mu, xs)
             assert np.max(np.abs(vals) * xs * xs) <= 2.0 * abs(c) + 0.1
             X = 50.0
-            window = kernels.integrate_piece(
+            window = graded.integrate_piece(
                 lambda t: admissible_density_line(mu, t),
                 max(mu.support_edges()) + 1e-9, X, grade_ends=True)
             window *= 2.0
@@ -209,7 +245,7 @@ class TestDensityR:
             edges = sorted({0.0, *(e for e in mu.support_edges()), inner_hi})
             for lo, hi in zip(edges[:-1], edges[1:]):
                 if hi - lo > 1e-12:
-                    window += 2.0 * kernels.integrate_piece(
+                    window += 2.0 * graded.integrate_piece(
                         lambda t: admissible_density_line(mu, t), lo, hi,
                         grade_ends=True)
             # remaining tail of the exact mean-zero identity: ~ -2c/X

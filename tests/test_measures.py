@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graded_quadrature as graded
 from conftest import assert_sharp_inequality
 from etlab import kernels
 from etlab._search import bisect
@@ -195,9 +196,9 @@ def even_window_oracle(rho: MixedMeasureT) -> tuple[float, float]:
     lo, hi = avals[ks], avals[ks + 1]
     falls = (ring(lo + 1e-13) - 2.0 > 0.0) & (ring(hi - 1e-13) - 2.0 < 0.0) & (hi - lo > 1e-13)
     ks, lo, hi = ks[falls], lo[falls], hi[falls]
-    spec = kernels.QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10, max_refinements=40)
+    spec = graded.QuadratureSpec(panels=4, nodes_per_panel=16, abs_tol=1e-10, max_refinements=40)
     for k, a_star in zip(ks, bisect(lambda a: ring(a) - 2.0 > 0.0, lo, hi, (hi - lo) * 2.0**-60)):
-        extra = kernels.integrate_piece(ring, avals[k], a_star, spec, grade_ends=True) \
+        extra = graded.integrate_piece(ring, avals[k], a_star, spec, grade_ends=True) \
             if a_star > avals[k] else 0.0
         if value(a_star, cums[k] + extra) > best_f:
             best_a, best_f = a_star, value(a_star, cums[k] + extra)
@@ -299,6 +300,19 @@ class TestMixed:
         rho = MixedMeasureT((), GridBackedDensity(np.ones(4096)))
         assert rho.mass() == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("build", [
+        lambda: MixedMeasureT((), GridBackedDensity(np.ones(4096))),
+        lambda: rho_type1(0.05),
+        lambda: rho_type2(0.13, 0.22, 0.034),
+        lambda: periodize(make_admissible(1.4, 0.1)),
+    ], ids=["grid_4096", "type1", "type2", "periodized_III"])
+    def test_density_mass_stored_with_the_nodes(self, build):
+        # the mass is summed once, when the nodes are built, bit for bit
+        # the fsum over the node weights
+        rho = build()
+        fixed = rho._fixed_nodes
+        assert rho.density_mass() == fixed.mass == math.fsum(fixed.field.weights.tolist())
+
     def test_type1_discrepancy_is_dirac_mass(self):
         rho = rho_type1(0.2)
         d, w = discrepancy_mixed(rho)
@@ -321,8 +335,8 @@ class TestMixed:
                 return np.sqrt(np.maximum(1.0 - y * y, 0.0)) * np.arcsin(t) \
                     / (t * np.sqrt(1.0 - t * t))
 
-            oracle = (8.0 * m * m / math.pi) * kernels.integrate_piece(
-                f, 1e-300, 1.0, kernels.TIGHT_SPEC, grade_ends=True)
+            oracle = (8.0 * m * m / math.pi) * graded.integrate_piece(
+                f, 1e-300, 1.0, graded.TIGHT_SPEC, grade_ends=True)
             h, arg = height_T(rho_type1(m), 512)
             assert h == pytest.approx(oracle, abs=1e-8)
             assert h > 2.0 * m * m  # strict bound behind the sharp constant
@@ -401,6 +415,33 @@ class TestLineFunctionals:
             mu = AdmissibleDistR("II", 1.0, R)
             assert h_tilde_quadrature(mu) == pytest.approx(h_tilde(mu), abs=1e-8)
             assert d_tilde_quadrature(mu) == pytest.approx(d_tilde(mu), abs=1e-10)
+
+    @pytest.mark.parametrize("R", [1.05, 1.3, 1.6, 1.76])
+    def test_type3_against_mpmath(self, R):
+        # h_tilde = 2 pi int_L^R sqrt((R^2-x^2)(x^2-L^2))/(x+1) dx; its moment
+        # route adds 2 pi phi(L, R) (pv of the same root over x^2 - 1, the pole
+        # at 1 removed analytically); d_tilde = 2m - 2 + the inner integral
+        mu = make_admissible(R)
+        with mpmath.workdps(30):
+            LL, RR = mpmath.mpf(mu.L), mpmath.mpf(R)
+
+            def root(x):
+                return mpmath.sqrt(max(mpmath.mpf(0), (RR * RR - x * x) * (x * x - LL * LL)))
+
+            h = 2 * mpmath.pi * mpmath.quad(lambda x: root(x) / (x + 1), [LL, RR])
+            r1 = root(mpmath.mpf(1))
+            pv = mpmath.quad(lambda x: (root(x) - r1) / (x - 1) if x != 1 else mpmath.diff(root, 1),
+                             [LL, 1, RR]) + r1 * mpmath.log((RR - 1) / (1 - LL))
+            phi = (pv - mpmath.quad(lambda x: root(x) / (x + 1), [LL, RR])) / 2
+            inner = mpmath.quad(lambda x: mpmath.sqrt((RR * RR - x * x) * (LL * LL - x * x))
+                                / (1 - x * x), [-LL, 0, LL])
+            d = mpmath.pi * mpmath.sqrt((RR * RR - 1) * (1 - LL * LL)) - 2 + inner
+            want_h, want_hq, want_d = float(h), float(h + 2 * mpmath.pi * phi), float(d)
+        assert h_tilde(mu) == pytest.approx(want_h, abs=1e-13)
+        assert h_tilde_quadrature(mu) == pytest.approx(want_hq, abs=1e-13)
+        assert h_tilde_quadrature(mu) == pytest.approx(want_h, abs=1e-13)
+        assert d_tilde(mu) == pytest.approx(want_d, abs=1e-13)
+        assert d_tilde_quadrature(mu) == pytest.approx(want_d, abs=1e-13)
 
     def test_type3_quadrature_vs_closed(self):
         mu = make_admissible(1.4)

@@ -23,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graded_quadrature as graded
 from etlab import kernels, measures
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
 from etlab.errors import NegativeDensity
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
-from etlab.kernels import TIGHT_SPEC, kernel_T
+from etlab.kernels import kernel_T
 from etlab.measures import (
     EmpiricalMeasure,
     GridBackedDensity,
@@ -51,19 +52,19 @@ def _piece_oracle(dens, lo: float, hi: float, x: float, spec) -> float:
         return lambda y: dens(y) * kernel_T(at - np.asarray(y, dtype=float))
 
     if hi - lo >= 1.0 - 1e-12:
-        return kernels.integrate_piece(integrand(x), x - 0.5, x + 0.5, spec,
-                                       log_at=x, grade_ends=False)
+        return graded.integrate_piece(integrand(x), x - 0.5, x + 0.5, spec,
+                                      log_at=x, grade_ends=False)
     mid = 0.5 * (lo + hi)
     rep = mid + canonical_angle(x - mid)
     for end in (lo, hi):
         if abs(rep - end) < 1e-15:
             rep = end
     log_at = rep if lo <= rep <= hi else None
-    return kernels.integrate_piece(integrand(rep), lo, hi, spec, log_at=log_at,
-                                   grade_ends=True)
+    return graded.integrate_piece(integrand(rep), lo, hi, spec, log_at=log_at,
+                                  grade_ends=True)
 
 
-def potential_oracle(rho: MixedMeasureT, x: float, spec=TIGHT_SPEC) -> float:
+def potential_oracle(rho: MixedMeasureT, x: float, spec=graded.TIGHT_SPEC) -> float:
     x = float(x)
     acc = [m * kernel_T(x - a) for a, m in rho.diracs]
     for lo, hi in rho.density.pieces():
@@ -158,7 +159,7 @@ def test_bitwise_reproducible(monkeypatch):
 def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1]: 16 Gauss-Legendre nodes on each of 21
     panels graded dyadically 20 levels toward 0 (sliver kept)."""
-    panels = kernels._split_toward(0.0, 1.0, True, 20)
+    panels = graded._split_toward(0.0, 1.0, True, 20)
     a, b = np.array([p[:2] for p in panels]).T
     nodes, weights = kernels._gl_rule(16)
     return ((a[:, None] + (b - a)[:, None] * nodes).ravel(),

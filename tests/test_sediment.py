@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graded_quadrature as graded
 from etlab import kernels
 from etlab.errors import DomainError, IntervalTooCoarse
 from etlab.extremal import rho_type1
@@ -17,7 +18,7 @@ from etlab.sediment import (
 
 
 def direct_energy_from_coefficients(cos_coeffs, sin_coeffs,
-                                    spec=kernels.TIGHT_SPEC) -> float:
+                                    spec=graded.TIGHT_SPEC) -> float:
     """Dual-route interaction energy for rho = 1 + sum a_k cos + b_k sin.
 
     The autocorrelation A(t) = 1 + (1/2) sum (a_k^2 + b_k^2) cos(2 pi k t) is
@@ -35,7 +36,7 @@ def direct_energy_from_coefficients(cos_coeffs, sin_coeffs,
         acorr = 1.0 + np.cos(2.0 * np.pi * np.multiply.outer(t, k)) @ power
         return acorr * kernels.kernel_T(t)
 
-    return 0.5 * kernels.integrate_log_singular(integrand, 0.0, 1.0, 0.0, spec)
+    return 0.5 * graded.integrate_log_singular(integrand, 0.0, 1.0, 0.0, spec)
 
 
 class TestGridDensity:

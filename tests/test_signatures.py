@@ -1,17 +1,18 @@
 """The accuracy of each layer is fixed in the library, not chosen by callers:
-no public callable outside ``kernels`` takes a quadrature ``spec``, and the
-grid, tolerance and size parameters that no caller varied stay deleted."""
+no public callable takes a quadrature ``spec``, and the grid, tolerance and
+size parameters that no caller varied stay deleted."""
 
 import inspect
 
 import pytest
 
-from etlab import discretize, extremal, harmonic, measures, polynomials, sediment
+from etlab import discretize, extremal, harmonic, kernels, measures, polynomials, sediment
 
-MODULES = (measures, extremal, discretize, polynomials, harmonic, sediment)
+MODULES = (kernels, measures, extremal, discretize, polynomials, harmonic, sediment)
 
 # callable -> parameters it no longer takes (besides ``spec``, which none takes)
 DELETED = {
+    "kernels.integrate_piece": ("log_at", "grade_ends"),
     "measures.MixedMeasureT": ("total", "even"),
     "measures.AdmissibleDistR": ("m",),
     "measures.PeriodizedDensity": ("lattice_terms", "cheb_nodes"),
