@@ -209,6 +209,24 @@ class TestPrincipalValue:
             pv_sqrt_composite(lambda x: np.where(np.asarray(x) > 1.5, np.nan, 1.0), 0.0, 2.0, 1.0)
 
 
+class TestSpecValidation:
+    """pv_sqrt_composite against an oracle that shares none of its rule."""
+
+    def test_composite_pv_with_sqrt_ends(self):
+        # pv int g/(x - p) = int (g(x) - g(p))/(x - p) dx + g(p) log((b - p)/(p - a)),
+        # the smooth remainder by mpmath's tanh-sinh, split at the pole
+        a, b = 0.3, 1.7
+        w = sqrt_weight(a, b)
+        g = lambda x: w(x) * np.exp(np.asarray(x))
+        for p in (0.31, 0.9, 1.0, 1.69):
+            with mpmath.workdps(30):
+                gm = lambda x: mpmath.sqrt((b - x) * (x - a)) * mpmath.exp(x)
+                gp = gm(mpmath.mpf(p))
+                rest = mpmath.quad(lambda x: (gm(x) - gp) / (x - p), [a, p, b])
+                want = float(rest + gp * mpmath.log((b - p) / (p - a)))
+            assert pv_sqrt_composite(g, a, b, p) == pytest.approx(want, abs=1e-13)
+
+
 class TestSqrtEndpoints:
     def test_semicircle(self):
         v = integrate_sqrt_endpoints(
