@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the m = 0.2 sediment scenario and compare with the closed form.
 
-Usage: python scripts/sediment_demo.py [--n-cells 512] [--iters 50000]
+Usage: python scripts/sediment_demo.py [--n-cells 512] [--iters 50]
        [--density-out final.csv] [--trace-out trace.csv]
 """
 
@@ -18,7 +18,8 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--m", type=float, default=0.2)
     parser.add_argument("--n-cells", type=int, default=512)
-    parser.add_argument("--iters", type=int, default=50_000)
+    parser.add_argument("--iters", type=int, default=50,
+                        help="cap on the active-set steps")
     parser.add_argument("--tol", type=float, default=1e-3)
     parser.add_argument("--density-out", default=None)
     parser.add_argument("--trace-out", default=None)

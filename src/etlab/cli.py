@@ -7,7 +7,7 @@ Subcommands:
 * phi --L --R         the admissibility integral
 * extremal            build an admissible distribution, report functionals
 * sharpness           the continuum -> discrete -> rational ratio chain
-* simulate FILE       sediment descent from a scenario JSON
+* simulate FILE       sediment state from a scenario JSON
 * ganelius FILE       conjugate-function bound for a density document
 * periodize           wrap a line distribution and compare heights
 
@@ -251,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=_cmd_sharpness)
 
-    p = sub.add_parser("simulate", help="sediment descent from a scenario JSON")
+    p = sub.add_parser("simulate", help="sediment state from a scenario JSON")
     p.add_argument("file")
     p.add_argument("--out", default=None, help="final density CSV path")
-    p.add_argument("--trace-out", default=None, help="iteration trace CSV path")
+    p.add_argument("--trace-out", default=None, help="active-set step trace CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("ganelius", help="conjugate-function bound for a density")

@@ -4,9 +4,9 @@ The state is a cell-averaged density on a power-of-two grid.  The interaction
 energy is computed spectrally with kernel coefficients 1/(2|k|) (the cosine
 expansion of -log|2 sin(pi x)| is sum cos(2 pi k x)/k, so each exponential
 mode carries half of 1/k); an independent quadrature route validates this in
-the test suite.  Mirror descent on the simplex of cell masses drives the
-density to the sediment state, where the total potential is constant on the
-support and larger elsewhere.
+the test suite.  The sediment state, where the total potential is constant on
+the support and no smaller elsewhere (the Frostman conditions), is solved for
+by a primal-dual active-set loop over the support.
 """
 
 from __future__ import annotations
@@ -122,17 +122,14 @@ def total_potential(rho: GridDensity, u: ExternalPotentialSpec) -> np.ndarray:
 
 
 def energy(rho: GridDensity, u: ExternalPotentialSpec) -> float:
-    """(1/2) sum_{k!=0} What(k) |rho_hat(k)|^2 + mean(U * rho).
+    """mean(rho (W * rho / 2 + U)), which by Parseval is
+    (1/2) sum_{k!=0} What(k) |rho_hat(k)|^2 + mean(U * rho).
 
     Uses the density part only; Dirac self-energy is infinite and the Dirac
     configuration is carried by U.
     """
-    n = rho.n_cells
-    rho_hat = np.fft.fft(rho.values) / n
-    what = spectral_kernel_coefficients(n)
-    interaction = 0.5 * float(np.sum(what * np.abs(rho_hat) ** 2))
-    potential = float(np.mean(u.on_grid(n) * rho.values))
-    return interaction + potential
+    w_rho = _interaction_potential(rho.values)
+    return float(np.mean(rho.values * (0.5 * w_rho + u.on_grid(rho.n_cells))))
 
 
 def _diffusion_window(rho: GridDensity, x0: float, eps: float):
@@ -208,17 +205,42 @@ def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
     return out
 
 
+def _solve_on(support: np.ndarray, u_grid: np.ndarray, mass: float) -> np.ndarray:
+    """Cell values of mean ``mass``, zero off ``support`` and with U + W * rho
+    constant on it: conjugate gradients on rho's mean-zero part there, stopped
+    at 1e-13 of the unprojected right side so that its rounding is not chased."""
+    idx = np.flatnonzero(support)
+    rho = np.zeros(support.size)
+    rho[idx] = base = mass * support.size / idx.size
+    y = _interaction_potential(rho)[idx] + u_grid[idx]
+    r = y.mean() - y
+    x, d, rr, stop = np.zeros(idx.size), r.copy(), float(r @ r), 1e-26 * float(y @ y)
+    for _ in range(idx.size):
+        if rr <= stop:
+            break
+        rho[idx] = d
+        kd = _interaction_potential(rho)[idx]
+        kd -= kd.mean()
+        alpha = rr / float(d @ kd)
+        x += alpha * d
+        r -= alpha * kd
+        rr, rr_old = float(r @ r), rr
+        d = r + (rr / rr_old) * d
+    rho[idx] = base + x
+    return rho
+
+
 def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
                     iters: int, tol: float | None = None,
-                    trace: list | None = None,
-                    trace_every: int = 50) -> tuple[GridDensity, float]:
-    """Mirror descent toward the sediment state in the mass-``mass`` simplex.
-
-    Multiplicative-weights updates keep the cell masses positive and
-    normalized; the step starts at 0.5/max|V_U| and halves whenever the
-    energy fails to decrease.  Returns the final density and the sediment
-    residual: max over support cells (density > 1e-6 * mass) of
-    V_U - min V_U.  Stops early once the residual is below ``tol``.
+                    trace: list | None = None) -> tuple[GridDensity, float]:
+    """The sediment state of mass ``mass`` by primal-dual active set
+    (Hintermueller, Ito & Kunisch 2002): from the full circle, solve for rho on
+    the support S with V_U = U + W * rho = lam there and rho = 0 off it, then
+    take S = {rho + lam - V_U > 0}, until S repeats or for ``iters`` steps.
+    Returns the last rho, clipped at 0 and rescaled to ``mass``, and its
+    residual max(V_U where rho > 1e-6 * mass) - min V_U; each step appends
+    (step, energy, residual) to ``trace``.  Warns ``NonConvergence`` if S still
+    moves or the residual exceeds ``tol``.
     """
     _check_power_of_two(n_cells)
     if not (math.isfinite(mass) and mass > 0.0):
@@ -227,49 +249,25 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
         raise DomainError(f"iters must be at least 1, got {iters}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
-    n = n_cells
-    u_grid = u.on_grid(n)
-    p = np.full(n, mass / n)  # cell masses
-    what = spectral_kernel_coefficients(n)
-
-    def potential_of(pvec):
-        return u_grid + np.real(np.fft.ifft(what * np.fft.fft(pvec * n)))
-
-    def energy_of(pvec, v):
-        interaction = 0.5 * float(np.dot(v - u_grid, pvec))
-        return interaction + float(np.dot(u_grid, pvec))
-
-    def residual_of(pvec, v):
-        support = pvec * n > 1e-6 * mass
-        if not support.any():
-            return float("inf")
-        return float(v[support].max() - v.min())
-
-    v = potential_of(p)
-    eta = 0.5 / max(float(np.abs(v).max()), 1e-9)
-    e_prev = energy_of(p, v)
-    residual = residual_of(p, v)
-    for it in range(iters):
-        g = v - v.mean()
-        p_new = p * np.exp(-eta * np.clip(g, -50.0 / max(eta, 1e-12), 50.0 / max(eta, 1e-12)))
-        p_new *= mass / p_new.sum()
-        v_new = potential_of(p_new)
-        e_new = energy_of(p_new, v_new)
-        if e_new > e_prev + 1e-15:
-            eta *= 0.5
-            if eta < 1e-12:
-                break
-            continue
-        p, v, e_prev = p_new, v_new, e_new
-        if (it + 1) % trace_every == 0 or it == iters - 1:
-            residual = residual_of(p, v)
-            if trace is not None:
-                trace.append((it + 1, e_prev, residual))
-            if tol is not None and residual <= tol:
-                break
-    residual = residual_of(p, v)
-    if tol is not None and residual > tol:
-        warnings.warn(NonConvergence(
-            f"residual {residual:.3e} still above tol {tol:.3e} after {iters} "
-            "iterations"))
-    return GridDensity(p * n, (), mass), residual
+    u_grid = u.on_grid(n_cells)
+    support = np.ones(n_cells, dtype=bool)
+    for step in range(1, iters + 1):
+        rho = _solve_on(support, u_grid, mass)
+        v = u_grid + _interaction_potential(rho)
+        test = rho + v[support].mean() - v
+        settled = np.array_equal(test > 0.0, support)
+        if settled or step == iters:
+            rho = np.maximum(rho, 0.0)
+            rho *= mass / rho.mean()
+            v = u_grid + _interaction_potential(rho)
+        residual = float(v[rho > 1e-6 * mass].max() - v.min())
+        if trace is not None:
+            trace.append((step, 0.5 * float(np.mean(rho * (v + u_grid))), residual))
+        if settled:
+            break
+        support = test > 0.0
+        support[np.argmax(test)] = True  # never empty
+    if not settled or (tol is not None and residual > tol):
+        warnings.warn(NonConvergence(f"residual {residual:.3e} after {step} active-set "
+                                     f"steps{'' if settled else ', support still moving'}"))
+    return GridDensity(rho, (), mass), residual

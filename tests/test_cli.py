@@ -384,6 +384,8 @@ class TestDocumentFuzz:
 
     @fuzz
     @given(doc=SCENARIO_DOCS)
+    @example(doc={"M": 0.0, "m": 0.25, "n_cells": 16, "iters": 9,
+                  "mass": 1.6935730096421992e-270})
     def test_simulate_scenario(self, tmp_path, capsys, doc):
         self.run_doc(tmp_path, capsys, "simulate", doc, "--out", str(tmp_path / "final.csv"))
 

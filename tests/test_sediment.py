@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import graded_quadrature as graded
+import mirror_descent
 from etlab import kernels
-from etlab.errors import DomainError, IntervalTooCoarse
+from etlab.errors import DomainError, IntervalTooCoarse, NonConvergence
 from etlab.extremal import rho_type1
 from etlab.sediment import (
     ExternalPotentialSpec,
@@ -184,12 +188,18 @@ class TestMinimize:
         assert residual <= 1e-8
 
     def test_trace_records(self):
+        # one row per active-set step, the last one for the returned density;
+        # the iterates before it are infeasible, so their energies need not
+        # decrease
         trace = []
-        minimize_energy(ExternalPotentialSpec(0.0, 0.1), 0.8, 256, 500,
-                        trace=trace, trace_every=100)
-        assert len(trace) >= 4
-        energies = [e for _, e, _ in trace]
-        assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+        grid, residual = minimize_energy(ExternalPotentialSpec(0.0, 0.1), 0.8, 256, 500,
+                                         trace=trace)
+        steps = [k for k, _, _ in trace]
+        assert steps == list(range(1, len(trace) + 1))
+        assert 1 < len(trace) <= 500
+        assert trace[-1][1] == pytest.approx(energy(grid, ExternalPotentialSpec(0.0, 0.1)),
+                                             abs=1e-14)
+        assert trace[-1][2] == residual
 
     def test_energy_below_uniform(self):
         u = ExternalPotentialSpec(0.0, 0.2)
@@ -243,8 +253,76 @@ class TestMinimize:
             assert np.all(np.diff(es, 2) >= -1e-12)
 
     def test_nonconvergence_warns(self):
-        import warnings as _warnings
-        from etlab.errors import NonConvergence
+        # one step from the full circle cannot find the support of m = 0.2;
+        # the density returned at the cap is still feasible
         u = ExternalPotentialSpec(0.0, 0.2)
         with pytest.warns(NonConvergence):
-            minimize_energy(u, 0.6, 256, 40, tol=1e-9)
+            grid, residual = minimize_energy(u, 0.6, 256, 1, tol=1e-9)
+        assert residual > 1e-9
+        assert float(grid.values.min()) >= 0.0
+        assert math.fsum(grid.values.tolist()) / 256 == pytest.approx(0.6, abs=1e-15)
+
+    @pytest.mark.parametrize("M, m, n, iters, mass", [
+        (-0.5004323459186146, 0.12978338310496765, 16, 8, 2.2431712087533625e-13),
+        (-0.26310305784109533, 0.22409980386768558, 32, 13, 9.261448293488143e-44),
+        (0.0, 0.25, 16, 9, 1.6935730096421992e-270),
+    ])
+    def test_tiny_mass_stays_feasible(self, M, m, n, iters, mass):
+        # far below the rounding of U the support is a near-tie of cells; a
+        # solve that chases the rounding of U and W * rho there can leave no
+        # positive cell, and the rescaling to the mass divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergence)
+            grid, residual = minimize_energy(ExternalPotentialSpec(M, m), mass, n, iters)
+        assert math.isfinite(residual)
+        assert float(grid.values.min()) >= 0.0
+        assert math.fsum(grid.values.tolist()) / n == pytest.approx(mass, rel=1e-12)
+
+
+def _two_arc_scenario():
+    from etlab.extremal import rho_type2
+    return 0.13, rho_type2(0.13, 0.22, 0.034).diracs[1][1], 512
+
+
+# the four scenario classes of the benchmark's sediment workload and the
+# two-arc scenario of test_two_arc_support_matches_closed_form
+SCENARIOS = [(0.0, 0.2, 512), (0.0, 0.1, 1024), (0.25, 0.1, 512), (0.3, 0.05, 256),
+             _two_arc_scenario()]
+SCENARIO_IDS = ["M0-m0.2", "M0-m0.1", "M0.25-m0.1", "M0.3-m0.05", "two-arc"]
+
+
+class TestFrostman:
+    @pytest.mark.parametrize("M, m, n", SCENARIOS + [(0.4, 0.3, 64), (0.1, 0.45, 128)],
+                             ids=SCENARIO_IDS + ["M0.4-m0.3", "M0.1-m0.45"])
+    def test_kkt_conditions(self, M, m, n):
+        # solver-independent: p >= 0 with exact mass, V = lam on the support
+        # (p > 0) and V >= lam off it, to a gap of 1e-12
+        u = ExternalPotentialSpec(M, m)
+        mass = 1.0 - 2.0 * m
+        trace = []
+        grid, residual = minimize_energy(u, mass, n, 20, tol=1e-12, trace=trace)
+        assert len(trace) <= 20 and residual <= 1e-12
+        p = grid.values / n
+        assert float(p.min()) >= 0.0
+        assert abs(math.fsum(p.tolist()) - mass) <= 1e-12
+        v = total_potential(grid, u)
+        support = p > 0.0
+        lam = float(v[support].mean())
+        assert float(np.abs(v[support] - lam).max()) <= 1e-12
+        assert float((v[~support] - lam).min(initial=np.inf)) >= -1e-12
+
+    @pytest.mark.parametrize("M, m, n", SCENARIOS, ids=SCENARIO_IDS)
+    def test_mirror_descent_reaches_the_same_minimizer(self, M, m, n):
+        # the energy is strictly convex and V is its gradient in the cell
+        # masses, so for mirror descent's p (residual r) and the minimizer p*:
+        # (1/2)|p - p*|_K^2 <= E(p) - E(p*) <= r * mass, up to the cells below
+        # the 1e-6 * mass support threshold
+        u = ExternalPotentialSpec(M, m)
+        mass = 1.0 - 2.0 * m
+        oracle, r = mirror_descent.minimize_energy(u, mass, n, 60_000, tol=1e-3)
+        grid, _ = minimize_energy(u, mass, n, 20)
+        gap = energy(oracle, u) - energy(grid, u)
+        assert -1e-15 <= gap <= r * mass * (1.0 + 1e-3)
+        diff_hat = np.fft.fft(oracle.values - grid.values) / n
+        distance = 0.5 * float(np.sum(spectral_kernel_coefficients(n) * np.abs(diff_hat) ** 2))
+        assert distance <= gap + 1e-15

@@ -30,7 +30,7 @@ DELETED = {
     "harmonic.conjugate_pair": ("grid_n",),
     "harmonic.random_nonneg_trig_samples": ("degree", "depth"),
     "sediment.ExternalPotentialSpec": ("extra",),
-    "sediment.minimize_energy": ("step", "support_frac"),
+    "sediment.minimize_energy": ("step", "support_frac", "trace_every"),
 }
 
 
