@@ -110,8 +110,6 @@ def rationalize(rho: EmpiricalMeasure, q: int) -> EmpiricalMeasure:
     scaled_cum = np.cumsum(rho.weights) * q
     rounded = np.rint(scaled_cum)
     p = np.diff(np.concatenate(([0.0], rounded))).astype(np.int64)
-    if p.min() < 0:  # only possible for adversarial non-monotone rounding ties
-        p = np.maximum(p, 0)
     deficit = int(q - p.sum())
     if deficit != 0:
         p[np.argmax(p)] += deficit

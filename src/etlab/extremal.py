@@ -32,6 +32,8 @@ from .measures import (
     PeriodizedDensity,
     TypeITDensity,
     TypeIITDensity,
+    _canonical_array,
+    _crossings,
     admissible_density_line,
     d_tilde,
     h_tilde,
@@ -166,9 +168,13 @@ def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
     The result is 1 + (lattice sum of the scaled density) plus the wrapped
     Dirac masses: lam * delta_0 for kind I, lam*m at +-lam otherwise.  The
     scaling factor must satisfy lam <= 1 (kind I) or lam <= 1/2 with
-    lam*m < 1/2 (kinds II/III).  The sign-change radii of the wrapped density
-    (where it crosses 0 inside and outside the Dirac window) are reported in
-    ``meta`` as ``l_ring`` and ``r_ring``.
+    lam*m < 1/2 (kinds II/III).
+
+    For kinds II/III ``meta`` holds the ring radii, sign changes of the
+    density that ``measures._crossings`` reads off the result's own fixed
+    nodes, so the density is read once per measure: ``l_ring`` in (0, lam)
+    nearest lam*L (kind III, density >= 0 at 0), ``r_ring`` in (lam, 1/2]
+    nearest lam*R (lam*R < 1/2, density >= 0 at 1/2); else None.
     """
     if mu.kind == "I":
         if mu.lam > 1.0:
@@ -178,33 +184,22 @@ def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
             raise LambdaTooLarge(
                 f"kinds II/III need lam <= 1/2 and lam*m < 1/2, got lam={mu.lam}, "
                 f"lam*m={mu.lam * mu.m}")
-    density = PeriodizedDensity(mu)
-    diracs = tuple((pos, mass) for pos, mass in mu.dirac_positions_masses())
-    meta = {}
-    if mu.kind in ("II", "III"):
-        meta["l_ring"], meta["r_ring"] = _sign_change_radii(density, mu)
-    return MixedMeasureT(diracs=diracs, density=density, meta=meta)
+    rho = MixedMeasureT(diracs=tuple(mu.dirac_positions_masses()),
+                        density=PeriodizedDensity(mu))
+    if mu.kind != "I":
+        fixed, lam = rho._fixed_nodes, mu.lam  # cached on rho for every later functional
+        at_0, at_half = fixed.values(np.array([0.0, 0.5]))
+        radii = np.abs(_canonical_array(_crossings(fixed, 0.0)))
+        rho.meta["l_ring"] = (_nearest(radii[radii < lam], lam * mu.L)
+                              if mu.kind == "III" and at_0 >= 0.0 else None)
+        rho.meta["r_ring"] = (_nearest(radii[radii > lam], lam * mu.R)
+                              if lam * mu.R < 0.5 and at_half >= 0.0 else None)
+    return rho
 
 
-def _sign_change_radii(density: PeriodizedDensity,
-                       mu: AdmissibleDistR) -> tuple[float | None, float | None]:
-    """Radii of {wrapped density >= 0} inside (-lam, lam) and (lam, 1-lam)."""
-    lam, R, L = mu.lam, mu.R, mu.L or 0.0
-
-    def nonneg(x):
-        return density.evaluate(x).reshape(np.shape(x)) >= 0.0
-
-    l_ring = None
-    if L > 0.0 and nonneg(0.0):
-        hi = lam * L
-        l_ring = 0.5 * hi
-        if not nonneg(hi - 1e-12):
-            l_ring = float(bisect(nonneg, 0.0, hi, hi * 2.0**-60))
-    r_ring = None
-    if lam * R < 0.5 and nonneg(0.5):
-        lo = lam * R
-        r_ring = float(bisect(lambda x: ~nonneg(x), lo, 0.5, (0.5 - lo) * 2.0**-60))
-    return l_ring, r_ring
+def _nearest(radii: np.ndarray, target: float) -> float | None:
+    """The radius nearest target; None if there is none."""
+    return float(radii[np.argmin(np.abs(radii - target))]) if radii.size else None
 
 
 # Printed R grid of the reference table; inputs are data, the spacing rule is

@@ -795,6 +795,21 @@ class _FixedNodes:
         return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first)),
                    rho.reshape(widths.size, _PANEL_NODES) @ fit, math.fsum(w_rho.tolist()))
 
+    def _locate(self, t: np.ndarray):
+        """(turns, x, p, z): t = turns + x with x in [edges[0], edges[0] + 1)
+        up to rounding, the panel p holding x, and x's place z in [-1, 1]
+        on that panel."""
+        edges = self.edges
+        turns = np.floor(t - edges[0])
+        x = t - turns
+        p = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+        return turns, x, p, ((x - edges[p]) - (edges[p + 1] - x)) / (edges[p + 1] - edges[p])
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """rho's panel interpolant at each real t."""
+        _, _, p, z = self._locate(t)
+        return np.polynomial.legendre.legval(z, self.coef[p].T, tensor=False)
+
     def cumulative(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The integrals of rho(y) and of y rho(y) over [edges[0], t] at each
         real t, whole turns counted, exact for the panel interpolants.
@@ -807,10 +822,7 @@ class _FixedNodes:
         c0 = np.concatenate(([0.0], np.cumsum(2.0 * h * coef[:, 0])))
         c1 = np.concatenate(([0.0], np.cumsum(
             h * (2.0 * (edges[:-1] + h) * coef[:, 0] + (2.0 / 3.0) * h * coef[:, 1]))))
-        turns = np.floor(t - edges[0])
-        x = t - turns  # in [edges[0], edges[0] + 1) up to rounding
-        p = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, h.size - 1)
-        z = ((x - edges[p]) - (edges[p + 1] - x)) / (2.0 * h[p])
+        turns, x, p, z = self._locate(t)
         anti = np.polynomial.legendre.legint(coef, lbnd=-1.0, axis=1)
         a = np.polynomial.legendre.legval(z, anti[p].T, tensor=False)
         b = np.polynomial.legendre.legval(
@@ -914,7 +926,7 @@ def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     pos = base + (pos - base) % 1.0
     order = np.argsort(pos, kind="stable")
     pos, dirac_cum = pos[order], np.concatenate(([0.0], np.cumsum(mass[order])))
-    t = pos if fixed is None else np.concatenate((fixed.edges, _crossings(fixed), pos))
+    t = pos if fixed is None else np.concatenate((fixed.edges, _crossings(fixed, 1.0), pos))
     density = 0.0 if fixed is None else fixed.cumulative(t)[0]
     a_vals = density + dirac_cum[np.searchsorted(pos, t, side="right")] - (t - base)
     b_vals = density + dirac_cum[np.searchsorted(pos, t, side="left")] - (t - base)
@@ -923,72 +935,65 @@ def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     return float(a_vals[j] - b_vals[i]), IntervalT(t[i], min(length, 1.0 - 1e-15))
 
 
-def _crossings(fixed: _FixedNodes) -> np.ndarray:
-    """The points where rho's interpolant on a panel crosses 1: bracketed
-    between neighbours among the panel ends and nodes, then bisected, all
-    panels at once.  A missed pair of crossings between two neighbours
-    moves the sup by the mass of that sliver above 1, and an inexact root
-    by the square of its error.  A sign change by at most 1e-12 is no
-    bracket: the fit of a panel equal to 1 rounds to 1.1e-13, and such a
-    bracket would move the sup by less than 1e-12 times its width."""
+def _crossings(fixed: _FixedNodes, level: float) -> np.ndarray:
+    """The points where rho's panel interpolants cross ``level``, unsorted:
+    bracketed between neighbours among the panel ends and nodes, then
+    bisected, all panels at once, and the panel edges where the interpolants
+    on the two sides lie on either side (at a sqrt kink they can disagree,
+    by 3.5e-6 for a ``PeriodizedDensity`` at (R, lam) = (1.005, 0.005)).
+    A sign change by at most 1e-12 is no bracket.  At level 1 a missed pair
+    of crossings moves the sup of ``discrepancy_mixed`` by less than 1e-12
+    times its width, and the fit of a panel equal to 1 rounds to 1.1e-13;
+    at level 0 (ring radii) the density is 1 plus O(1) lattice terms, so it
+    rounds alike, and such a sign change is not resolved."""
     nodes = np.concatenate(([-1.0], 2.0 * kernels._gl_rule(_PANEL_NODES)[0] - 1.0, [1.0]))
-    excess = fixed.coef @ np.polynomial.legendre.legvander(nodes, _PANEL_NODES - 1).T - 1.0
+    excess = fixed.coef @ np.polynomial.legendre.legvander(nodes, _PANEL_NODES - 1).T - level
     above = excess > 0.0
     panel, k = np.nonzero((above[:, 1:] != above[:, :-1]) & (np.abs(np.diff(excess)) > 1e-12))
     coef, start = fixed.coef[panel].T, above[panel, k]
-    u = bisect(lambda u: (np.polynomial.legendre.legval(u, coef, tensor=False) > 1.0) == start,
+    u = bisect(lambda u: (np.polynomial.legendre.legval(u, coef, tensor=False) > level) == start,
                nodes[k], nodes[k + 1], 2.0**-42)
     lo, hi = fixed.edges[panel], fixed.edges[panel + 1]
-    return lo + 0.5 * (hi - lo) * (1.0 + u)
+    # edge p + 1 joins the end of panel p to the start of panel p + 1, the last to the first
+    head = np.roll(excess[:, 0], -1)
+    jump = ((excess[:, -1] > 0.0) != (head > 0.0)) & (np.abs(head - excess[:, -1]) > 1e-12)
+    return np.concatenate((lo + 0.5 * (hi - lo) * (1.0 + u), fixed.edges[1:][jump]))
 
 
 def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
     """-(min of W * rho) over the circle, with the minimizing angle.
 
-    The potential is sampled on a half-cell-shifted uniform grid (plus the
-    atom-gap midpoints for purely atomic measures), skipping Dirac locations,
-    then the best bracket is polished by golden-section search to 1e-10; the
-    potential is strictly convex between atoms, and the constructed families
-    have flat or smooth bottoms, so the local search is reliable.  For a
-    mixed measure the whole grid is one call of ``MixedMeasureT.potential``,
-    and so is each step of the search.  Where the potential is flat to
-    rounding, as on the support of ``rho_type1(m)``, the angle is any point
-    of the flat set: it can move with any change of rounding, while the
-    height does not.
+    The atoms are an atomic measure's angles or a mixed measure's Diracs.
+    One call samples the potential on the half-cell-shifted grid and the
+    atom-gap midpoints, less those within 1e-12 of an atom; golden-section
+    search polishes the best sample x0 to 1e-10 on x0 +- 1/grid_n, kept
+    1e-13 inside its neighbouring atoms.  The potential of atoms alone is
+    convex between atoms, so its minimum lies between x0's two neighbouring
+    samples; the constructed densities have flat or smooth bottoms.  Where
+    the potential is flat to rounding, as on the support of ``rho_type1(m)``,
+    the angle is any point of the flat set; the height does not move.
     """
     if grid_n < 256:
         raise DomainError("grid_n must be at least 256")
     if isinstance(rho, EmpiricalMeasure):
-        return _height_empirical(rho, grid_n)
-
-    xs = (np.arange(grid_n) + 0.5) / grid_n - 0.5
-    dirac_pos = np.array([a for a, _ in rho.diracs]) if rho.diracs else np.empty(0)
-    if dirac_pos.size:
-        dist = np.abs(_canonical_array(xs[:, None] - dirac_pos[None, :]))
-        xs = xs[dist.min(axis=1) > 1e-12]
-    vals = rho.potential(xs)
-    k = int(np.argmin(vals))
-    x, v = golden_min(rho.potential, xs[k] - 1.0 / grid_n, xs[k] + 1.0 / grid_n, 1e-10)
-    if v[0] < vals[k]:
-        return -v[0], canonical_angle(x[0])
-    return -vals[k], canonical_angle(xs[k])
-
-
-def _height_empirical(rho: EmpiricalMeasure, grid_n: int) -> tuple[float, Angle]:
-    _check_probability(rho)
-    theta = rho.angles
-    gaps_mid = theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0)
-    cands = np.concatenate([(np.arange(grid_n) + 0.5) / grid_n - 0.5,
-                            _canonical_array(gaps_mid)])
-    cands = cands[_nearest_atom_distance(theta, cands) > 1e-12]
+        _check_probability(rho)
+        theta = rho.angles
+    else:
+        theta = np.array([a for a, _ in rho.diracs])
+    cands = (np.arange(grid_n) + 0.5) / grid_n - 0.5
+    if theta.size:
+        gaps_mid = _canonical_array(theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0))
+        cands = np.concatenate((cands, gaps_mid))
+        cands = cands[_nearest_atom_distance(theta, cands) > 1e-12]
     vals = rho.potential(cands)
     k = int(np.argmin(vals))
     x0 = cands[k]
-    # bracket within the atom gap containing x0
-    rel = (theta - x0) % 1.0
-    up = float(np.min(rel[rel > 0])) if np.any(rel > 0) else 1.0
-    down = float(np.min((-rel) % 1.0))
-    x, v = golden_min(rho.potential, x0 - down + 1e-13, x0 + up - 1e-13, 1e-10)
+    lo, hi = x0 - 1.0 / grid_n, x0 + 1.0 / grid_n
+    if theta.size:
+        rel = (theta - x0) % 1.0
+        lo = max(lo, x0 - float(np.min((-rel) % 1.0)) + 1e-13)
+        hi = min(hi, x0 + float(np.min(rel)) - 1e-13)
+    x, v = golden_min(rho.potential, lo, hi, 1e-10)
     if vals[k] < v[0]:
         return -float(vals[k]), canonical_angle(x0)
     return -float(v[0]), canonical_angle(x[0])

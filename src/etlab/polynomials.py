@@ -144,14 +144,6 @@ class PolynomialSpec:
             c = np.convolve(c, np.array([-z, 1.0 + 0.0j]))
         return c * self.leading
 
-    def a0_an_magnitude(self) -> float:
-        """|a_0 a_n| without expanding the root product; inf where it
-        overflows a double (log_a0_an_magnitude stays finite there)."""
-        lead = abs(self.leading)
-        if self.has_roots:
-            return lead * lead * float(np.prod(self.moduli))
-        return float(abs(self.coeffs[0])) * float(abs(self.coeffs[-1]))
-
     def log_a0_an_magnitude(self) -> float:
         """log |a_0 a_n| without expanding the root product; stays finite
         where |a_0 a_n| itself overflows (e.g. |a_n| = 1e308)."""

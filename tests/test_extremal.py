@@ -22,8 +22,10 @@ from etlab.extremal import (
 )
 from etlab.measures import (
     AdmissibleDistR,
+    PeriodizedDensity,
     admissible_density_line,
     d_tilde,
+    discrepancy_mixed,
     h_tilde,
     height_T,
 )
@@ -319,6 +321,45 @@ class TestPeriodize:
         assert rho.meta["l_ring"] is not None
         assert rho.meta["l_ring"] < 0.2 * mu.L
         assert rho.meta["r_ring"] > 0.2 * mu.R
+
+    # kinds III and II; at (1.005, 0.1) no sign change lies below lam*L (it is
+    # at lam*L), at (1.005, 0.005) the density crosses 0 by a jump at a panel
+    # edge, and at (1.06, 0.5) the compression is off the lattice sum by 4.6e-8
+    RING_CASES = [(R, lam) for R in (1.005, 1.06, 1.4, 1.75, 2.0, 2.5)
+                  for lam in (0.005, 0.1, 0.3, 0.5)] + [(1.3, 0.17), (2.2, 0.04)]
+
+    def test_ring_radii_are_sign_changes_of_the_lattice_sum(self):
+        seen = 0
+        for R, lam in self.RING_CASES:
+            mu = make_admissible(R, lam)
+            try:
+                rho = periodize(mu)
+            except LambdaTooLarge:
+                continue
+            seen += 1
+            dens, l_ring, r_ring = rho.density, rho.meta["l_ring"], rho.meta["r_ring"]
+            at_0, at_half = dens.evaluate_direct(np.array([0.0, 0.5]))
+            # a ring exists exactly where the density is >= 0 at its centre
+            assert (l_ring is not None) == (mu.kind == "III" and at_0 >= 0.0), (R, lam)
+            assert (r_ring is not None) == (lam * mu.R < 0.5 and at_half >= 0.0), (R, lam)
+            for radius, window in ((l_ring, (0.0, lam)), (r_ring, (lam, 0.5))):
+                if radius is None:
+                    continue
+                assert window[0] < radius < window[1] + 1e-15
+                below, above = dens.evaluate_direct(np.array([radius - 1e-8, radius + 1e-8]))
+                assert (below >= 0.0) != (above >= 0.0), (R, lam, radius)
+        assert seen == 19
+
+    @pytest.mark.parametrize("R, lam", [(None, 0.3), (1.4, 0.2), (2.0, 0.08)])
+    def test_density_read_once_per_measure(self, R, lam, monkeypatch):
+        calls = []
+        evaluate = PeriodizedDensity.evaluate
+        monkeypatch.setattr(PeriodizedDensity, "evaluate",
+                            lambda self, x: calls.append(np.size(x)) or evaluate(self, x))
+        rho = periodize(make_admissible(R, lam))
+        height_T(rho, 256)
+        discrepancy_mixed(rho)
+        assert len(calls) == 1
 
     def test_lambda_gate(self):
         with pytest.raises(LambdaTooLarge):

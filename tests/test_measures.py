@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,23 @@ class TestEmpirical:
         h, arg = height_T(m, 512)
         assert h == pytest.approx(math.log(2.0), abs=1e-10)
         assert abs(abs(arg) - 0.5) <= 1e-8
+
+    @pytest.mark.parametrize("at", [0.3137, -0.5, 0.5 - 1e-14])
+    def test_height_of_one_atom_off_the_grid(self, at):
+        for rho in (EmpiricalMeasure.from_pairs([(at, 1.0)]),
+                    MixedMeasureT(diracs=((at, 1.0),), density=None)):
+            h, arg = height_T(rho, 256)
+            assert h == pytest.approx(math.log(2.0), abs=1e-15)
+            assert abs(canonical_angle(arg - at - 0.5)) <= 1e-7
+
+    @pytest.mark.parametrize("a", [0.1, 0.5 - 0.15 / 256])
+    def test_height_of_two_atoms_closer_than_a_cell(self, a):
+        # -(log|2 sin pi x| + log|2 sin pi (x - d)|) / 2 is lowest at x = a + d/2 + 1/2
+        d = 0.3 / 256
+        rho = EmpiricalMeasure.from_pairs([(a, 0.5), (a + d, 0.5)])
+        h, arg = height_T(rho, 256)
+        assert h == pytest.approx(math.log(2.0 * math.cos(0.5 * math.pi * d)), abs=1e-15)
+        assert abs(canonical_angle(arg - a - 0.5 * d - 0.5)) <= 1e-7
 
     def test_height_rotation_invariant(self, rng):
         ang = rng.uniform(-0.5, 0.5, 7)
@@ -361,6 +379,30 @@ class TestMixed:
         rho = MixedMeasureT(diracs=((0.0, 1.0),), density=None)
         h, arg = height_T(rho, 256)
         assert h == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_height_with_a_dirac_on_the_best_grid_cell(self):
+        # W * (1 + a cos 2 pi x) = (a/2) cos 2 pi x is lowest at 1/2; a small
+        # Dirac sits on the grid point next to it, so the best sample's
+        # bracket reaches the Dirac and the search must stay off it
+        a, m, grid_n = 0.5, 1e-5, 256
+        p = 0.5 - 0.5 / grid_n
+        rho = MixedMeasureT(diracs=((p, m),), density=UniformPlusDensity(np.array([a])))
+        grid = (np.arange(grid_n) + 0.5) / grid_n - 0.5
+        grid = np.delete(grid, grid_n - 1)  # the grid point on the Dirac
+        best = grid[np.argmin(rho.potential(grid))]
+        assert abs(canonical_angle(best - p)) == pytest.approx(1.0 / grid_n)
+        h, arg = height_T(rho, grid_n)
+
+        def f(x):
+            return (0.5 * a * np.cos(2.0 * np.pi * x)
+                    - m * np.log(np.abs(2.0 * np.sin(np.pi * (x - p)))))
+
+        xs = p + np.arange(1, 100_000) / 100_000
+        x0 = xs[np.argmin(f(xs))]
+        oracle = scipy.optimize.minimize_scalar(f, bounds=(x0 - 1e-5, x0 + 1e-5), method="bounded",
+                                                options={"xatol": 1e-12})
+        assert math.isfinite(h) and abs(canonical_angle(arg - p)) > 1e-12
+        assert h == pytest.approx(-oracle.fun, abs=1e-12)
 
     def test_g_ratio_dirac(self):
         m = EmpiricalMeasure.from_pairs([(0.0, 1.0)])

@@ -69,7 +69,6 @@ class TestHeights:
     def test_overflowing_a0_an(self):
         # f = 1e308 i (z - 1): |a_0 a_n| = 1e616 overflows a double, H = log 2 does not
         f = PolynomialSpec(moduli=np.array([1.0]), angles=np.array([0.0]), leading=1e308j)
-        assert f.a0_an_magnitude() == math.inf
         assert f.log_a0_an_magnitude() == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
         assert height_poly(f) == pytest.approx(math.log(2.0), abs=1e-10)
 
@@ -164,7 +163,7 @@ class TestSchur:
         z_angle = -0.25
         lhs = float(ft.log_abs_on_circle(z_angle)[0])
         rhs = float(f.log_abs_on_circle(z_angle)[0]) \
-            - 0.5 * math.log(f.a0_an_magnitude())
+            - 0.5 * f.log_a0_an_magnitude()
         assert math.exp(lhs) == pytest.approx(2.0, abs=1e-12)
         assert math.exp(rhs) == pytest.approx(3.0 / math.sqrt(2.0), abs=1e-12)
         assert lhs <= rhs
@@ -190,7 +189,7 @@ class TestSchur:
                                leading=complex(rng.normal(), rng.normal()) or 1.0)
             ft = schur_reduce(f)
             lhs = ft.log_abs_on_circle(theta)
-            rhs = f.log_abs_on_circle(theta) - 0.5 * math.log(f.a0_an_magnitude())
+            rhs = f.log_abs_on_circle(theta) - 0.5 * f.log_a0_an_magnitude()
             assert float((rhs - lhs).min()) >= -1e-10
 
     def test_height_does_not_increase(self, rng):
