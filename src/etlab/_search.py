@@ -1,9 +1,10 @@
-"""Batched bracket searches: bisection for a sign flip, golden section for a minimum.
+"""Batched bracket searches: bisection for a sign flip, golden section for a
+minimum, safeguarded Newton for a maximum.
 
-Both work elementwise on arrays of brackets and call their function once per
-step on the whole batch.  The step count is fixed from ``tol`` before the
-first step, so a search is reproducible bit for bit and always ends, even
-when tol is below the float spacing at the bracket.
+All work elementwise on arrays of brackets and call their function once per
+step on the whole batch.  The step count, or for Newton its cap, is fixed
+from ``tol`` before the first step, so a search is reproducible bit for bit
+and always ends, even when tol is below the float spacing at the bracket.
 """
 
 from __future__ import annotations
@@ -68,3 +69,29 @@ def golden_min(f, lo, hi, tol):
         fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
     left = fc <= fd
     return np.where(left, c, d), np.where(left, fc, fd)
+
+
+def newton_max(slopes, lo, hi, tol):
+    """Safeguarded Newton search for a maximum of g in every bracket [lo, hi].
+
+    ``slopes`` maps a 1-d array of points to the pair (g', g'') there.  From
+    each bracket's midpoint, a step first narrows the bracket to the side
+    where g' says the maximum lies, then takes the Newton step x - g'/g''
+    where g'' < 0 and it lands inside the bracket, and else goes to the
+    bracket's midpoint.  It stops once every step is at most tol, or after
+    the bisection step count from tol.  Returns the 1-d array of last points.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    x = 0.5 * (lo + hi)
+    for _ in range(_step_count(hi - lo, tol, 0.5)):
+        d1, d2 = slopes(x)
+        rising = d1 > 0.0
+        lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        take = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
+        x, x_old = np.where(take, newton, 0.5 * (lo + hi)), x
+        if np.all(np.abs(x - x_old) <= tol):
+            break
+    return x

@@ -236,7 +236,8 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
     """The sediment state of mass ``mass`` by primal-dual active set
     (Hintermueller, Ito & Kunisch 2002): from the full circle, solve for rho on
     the support S with V_U = U + W * rho = lam there and rho = 0 off it, then
-    take S = {rho + lam - V_U > 0}, until S repeats or for ``iters`` steps.
+    take S = {rho + lam - V_U > 0}, with the cell of the largest test value
+    kept so that S is never empty, until S repeats or for ``iters`` steps.
     Returns the last rho, clipped at 0 and rescaled to ``mass``, and its
     residual max(V_U where rho > 1e-6 * mass) - min V_U; each step appends
     (step, energy, residual) to ``trace``.  Warns ``NonConvergence`` if S still
@@ -255,7 +256,9 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
         rho = _solve_on(support, u_grid, mass)
         v = u_grid + _interaction_potential(rho)
         test = rho + v[support].mean() - v
-        settled = np.array_equal(test > 0.0, support)
+        following = test > 0.0
+        following[np.argmax(test)] = True  # never empty
+        settled = np.array_equal(following, support)
         if settled or step == iters:
             rho = np.maximum(rho, 0.0)
             rho *= mass / rho.mean()
@@ -265,8 +268,7 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
             trace.append((step, 0.5 * float(np.mean(rho * (v + u_grid))), residual))
         if settled:
             break
-        support = test > 0.0
-        support[np.argmax(test)] = True  # never empty
+        support = following
     if not settled or (tol is not None and residual > tol):
         warnings.warn(NonConvergence(f"residual {residual:.3e} after {step} active-set "
                                      f"steps{'' if settled else ', support still moving'}"))

@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden_modulus
 from conftest import assert_sharp_inequality
 from etlab.errors import (
     DomainError,
@@ -16,6 +18,7 @@ from etlab.errors import (
 from etlab.measures import EmpiricalMeasure, height_T
 from etlab.polynomials import (
     PolynomialSpec,
+    _log_abs_grid,
     check_et,
     count_at_angle,
     discrepancy_poly,
@@ -57,6 +60,85 @@ class TestMaxLogModulus:
         f2 = PolynomialSpec(moduli=np.array([2.0, 0.5]), angles=np.zeros(2),
                             leading=1.0)
         assert height_poly(f1) == pytest.approx(height_poly(f2), abs=1e-12)
+
+
+def mp_log_abs(f, theta):
+    """log|f(e^{2 pi i theta})| in 40-digit arithmetic from the stored
+    roots or coefficients."""
+    with mpmath.workdps(40):
+        w = mpmath.expjpi(2 * mpmath.mpf(float(theta)))
+        if f.has_roots:
+            out = mpmath.log(abs(mpmath.mpc(f.leading)))
+            for r, a in zip(f.moduli.tolist(), f.angles.tolist()):
+                out += mpmath.log(abs(w - r * mpmath.expjpi(2 * mpmath.mpf(a))))
+            return float(out)
+        return float(mpmath.log(abs(mpmath.polyval(
+            [mpmath.mpc(c) for c in f.coeffs[::-1].tolist()], w))))
+
+
+def corpus_of(form, seed=1414):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (1, 2, 3, 5, 8, 13, 32, 64, 128, 256):
+        if form == "coefficients":
+            out.append(PolynomialSpec.from_coeffs(rng.normal(size=n + 1)
+                                                  + 1j * rng.normal(size=n + 1)))
+        elif form == "unimodular":
+            out.append(unit_roots(rng.uniform(-0.5, 0.5, n)))
+        else:
+            out.append(PolynomialSpec(moduli=np.exp(rng.uniform(-0.5, 0.5, n)),
+                                      angles=rng.uniform(-0.5, 0.5, n),
+                                      leading=complex(rng.normal(), rng.normal())))
+    return out
+
+
+class TestAgainstGoldenSection:
+    """The Newton search against the dense grid and golden section it
+    replaced (``tests/golden_modulus.py``)."""
+
+    @pytest.mark.parametrize("form", ["unimodular", "off_circle", "coefficients"])
+    def test_heights_agree(self, form):
+        for f in corpus_of(form):
+            h, h_ref = height_poly(f), golden_modulus.height_poly(f)
+            assert abs(h - h_ref) <= 1e-13, f.degree
+            assert h >= h_ref - 1e-14, f.degree
+
+    @pytest.mark.parametrize("f", [
+        unit_roots(np.random.default_rng(1).uniform(-0.5, 0.5, 1024)),
+        PolynomialSpec.from_coeffs(np.random.default_rng(2).normal(size=1025)
+                                   + 1j * np.random.default_rng(3).normal(size=1025)),
+        corpus_of("off_circle")[6],
+        corpus_of("coefficients")[8],
+    ], ids=["unimodular-1024", "coefficients-1024", "off_circle-32", "coefficients-128"])
+    def test_value_at_the_angle_matches_mpmath(self, f):
+        peak, arg = max_log_modulus(f)
+        assert abs(peak - mp_log_abs(f, arg)) <= 1e-12
+
+
+class TestLogAbsOnCircle:
+    @pytest.mark.parametrize("form", ["unimodular", "off_circle"])
+    @pytest.mark.parametrize("n", [1, 16, 256])
+    def test_root_sum_against_mpmath(self, n, form):
+        rng = np.random.default_rng(n)
+        moduli = np.ones(n) if form == "unimodular" else np.exp(rng.uniform(-0.5, 0.5, n))
+        f = PolynomialSpec(moduli=moduli, angles=rng.uniform(-0.5, 0.5, n),
+                           leading=complex(rng.normal(), rng.normal()))
+        theta = np.concatenate((f.angles[:8] + 1e-7, rng.uniform(-0.5, 0.5, 8)))
+        ref = np.array([mp_log_abs(f, t) for t in theta])
+        # rounding the Cartesian parts of w and z_j moves |w - z_j| by about
+        # 2e-16, which is a relative 2e-16 / |w - z_j| of the term
+        dist = np.abs(np.subtract.outer(np.exp(2j * np.pi * theta), f.roots_complex()))
+        bound = 2e-14 + 2.0**-51 * (1.0 / dist).sum(axis=1)
+        assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= bound)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    def test_fft_grid_matches_polyval(self, n):
+        rng = np.random.default_rng(n)
+        f = PolynomialSpec.from_coeffs(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+        theta, vals = _log_abs_grid(f)
+        assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
+        direct = np.abs(np.polynomial.polynomial.polyval(np.exp(2j * np.pi * theta), f.coeffs))
+        assert np.max(np.abs(np.exp(vals) - direct)) <= 1e-13 * direct.max()
 
 
 class TestHeights:

@@ -278,6 +278,19 @@ class TestMinimize:
         assert float(grid.values.min()) >= 0.0
         assert math.fsum(grid.values.tolist()) / n == pytest.approx(mass, rel=1e-12)
 
+    @pytest.mark.parametrize("M, m, n, mass", [
+        (0.0, 0.25, 16, 1.6935730096421992e-270),
+        (0.1, 0.4, 64, 1e-300),
+    ])
+    def test_tiny_mass_settles(self, M, m, n, mass):
+        # far below the rounding of U no cell tests positive, and the support
+        # is the one cell kept by the never-empty rule; that support repeats
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergence)
+            minimize_energy(ExternalPotentialSpec(M, m), mass, n, 20, trace=trace)
+        assert trace[-1][0] < 20
+
 
 def _two_arc_scenario():
     from etlab.extremal import rho_type2
