@@ -1,5 +1,5 @@
-"""Batched bracket searches: bisection for a sign flip, golden section for a
-minimum, safeguarded Newton for a maximum.
+"""Batched bracket searches: bisection for a sign flip, equispaced sampling
+for a minimum, safeguarded Newton for a maximum.
 
 All work elementwise on arrays of brackets and call their function once per
 step on the whole batch.  The step count, or for Newton its cap, is fixed
@@ -13,15 +13,21 @@ import math
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor per step
+_SAMPLES = 32  # interior points per bracket and step of sample_min
 
 
 def _step_count(width: np.ndarray, tol, shrink: float) -> int:
-    """Least n with width * shrink**n <= tol for every bracket (exact for shrink 1/2)."""
+    """Least n with width * shrink**n <= tol for every bracket: the count from
+    log(width / tol) / log(1 / shrink), moved to the least such n by the
+    floating-point comparisons themselves."""
     tol = np.asarray(tol, dtype=float)
     if not (np.all(np.isfinite(width)) and np.all(width >= 0.0) and np.all(tol > 0.0)):
         raise ValueError(f"need finite brackets with lo <= hi and tol > 0, got tol={tol}")
-    steps = 0
+    with np.errstate(divide="ignore"):
+        excess = float(np.max(np.log(width) - np.log(tol), initial=0.0))
+    steps = math.ceil(excess / -math.log(shrink))
+    while steps > 0 and not np.any(width * shrink ** (steps - 1) > tol):
+        steps -= 1
     while np.any(width * shrink**steps > tol):
         steps += 1
     return steps
@@ -43,32 +49,33 @@ def bisect(below, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def golden_min(f, lo, hi, tol):
-    """Golden-section search for a minimum of ``f`` in every bracket [lo, hi].
+def sample_min(f, lo, hi, tol):
+    """Search for a minimum of ``f`` in every bracket [lo, hi] by sampling.
 
-    ``f`` maps a 1-d array of points to their values; its first call takes
-    both interior points of every bracket, each later call one new point per
-    bracket.  Returns 1-d arrays (x, f(x)) at the best point evaluated: the
-    better interior point is always the one kept, so it is the lower of the
-    final two.  For f unimodal, x is within tol of a minimizer.
+    ``f`` maps a 1-d array of points to their values.  Each step calls it
+    once, at ``_SAMPLES`` equispaced interior points of every bracket, and
+    keeps the two cells either side of the lowest sample, so a bracket
+    shrinks by 2 / (_SAMPLES + 1) per call; at least one step is taken.
+    Returns 1-d arrays (x, f(x)) at the lowest point evaluated.  For f
+    unimodal, that point and a minimizer both stay in the bracket, so x is
+    within tol of a minimizer.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
-    steps = _step_count(hi - lo, tol, _INV_PHI)
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = np.split(np.asarray(f(np.concatenate((c, d))), dtype=float), 2)
+    steps = max(_step_count(hi - lo, tol, 2.0 / (_SAMPLES + 1)), 1)
+    t = np.arange(_SAMPLES + 2) / (_SAMPLES + 1)
+    rows = np.arange(lo.size)
+    best_x, best_f = np.full(lo.shape, np.nan), np.full(lo.shape, np.inf)
     for _ in range(steps):
-        # keep [lo, d] when fc <= fd, else [c, hi]; the kept interior point
-        # becomes the far one of the new bracket
-        left = fc <= fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        x_keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
-        x_new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        f_new = np.asarray(f(x_new), dtype=float)
-        c, d = np.where(left, x_new, x_keep), np.where(left, x_keep, x_new)
-        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
-    left = fc <= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+        grid = lo[:, None] + (hi - lo)[:, None] * t
+        grid[:, 0], grid[:, -1] = lo, hi
+        vals = np.asarray(f(grid[:, 1:-1].ravel()), dtype=float).reshape(lo.size, _SAMPLES)
+        j = np.argmin(vals, axis=1)  # sample j sits at grid[:, j + 1]
+        low = vals[rows, j]
+        lower = low < best_f
+        best_x, best_f = np.where(lower, grid[rows, j + 1], best_x), np.where(lower, low, best_f)
+        lo, hi = grid[rows, j], grid[rows, j + 2]
+    return best_x, best_f
 
 
 def newton_max(slopes, lo, hi, tol):

@@ -62,12 +62,12 @@ _L_TOL = 1e-14
 def phi(L: float, R: float) -> float:
     """pv int_L^R sqrt((R^2-x^2)(x^2-L^2))/(x^2-1) dx, pole at 1, 0 <= L < 1 < R.
 
-    Strictly increasing in both arguments; vanishes exactly on the
+    Strictly increasing in both arguments, R finite; vanishes exactly on the
     admissibility curve.  The generated potential at the origin is pi times
     this value.
     """
-    if not (0.0 <= L < 1.0 < R):
-        raise DomainError(f"need 0 <= L < 1 < R, got L={L}, R={R}")
+    if not (0.0 <= L < 1.0 < R and math.isfinite(R)):
+        raise DomainError(f"need 0 <= L < 1 < R with R finite, got L={L}, R={R}")
 
     def g(x):  # the integrand times (x - 1)
         x = np.asarray(x, dtype=float)

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from ._search import bisect, golden_min
+from ._search import bisect, sample_min
 from .errors import DomainError, EmptyMeasure, ZeroDiscrepancy
 from .kernels import kernel_T
 
@@ -965,9 +965,10 @@ def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
 
     The atoms are an atomic measure's angles or a mixed measure's Diracs.
     One call samples the potential on the half-cell-shifted grid and the
-    atom-gap midpoints, less those within 1e-12 of an atom; golden-section
-    search polishes the best sample x0 to 1e-10 on x0 +- 1/grid_n, kept
-    1e-13 inside its neighbouring atoms.  The potential of atoms alone is
+    atom-gap midpoints, less those within 1e-12 of an atom; ``sample_min``
+    polishes the best sample x0 to 1e-10 on x0 +- 1/grid_n, kept 1e-13
+    inside its neighbouring atoms, at 32 points per potential call: 7 calls
+    at grid_n 256, 6 at 2048 and 4096.  The potential of atoms alone is
     convex between atoms, so its minimum lies between x0's two neighbouring
     samples; the constructed densities have flat or smooth bottoms.  Where
     the potential is flat to rounding, as on the support of ``rho_type1(m)``,
@@ -993,7 +994,7 @@ def height_T(rho, grid_n: int = 1024) -> tuple[float, Angle]:
         rel = (theta - x0) % 1.0
         lo = max(lo, x0 - float(np.min((-rel) % 1.0)) + 1e-13)
         hi = min(hi, x0 + float(np.min(rel)) - 1e-13)
-    x, v = golden_min(rho.potential, lo, hi, 1e-10)
+    x, v = sample_min(rho.potential, lo, hi, 1e-10)
     if vals[k] < v[0]:
         return -float(vals[k]), canonical_angle(x0)
     return -float(v[0]), canonical_angle(x[0])

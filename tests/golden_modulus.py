@@ -1,5 +1,9 @@
-"""The max-modulus search that ``etlab.polynomials.max_log_modulus`` ran
-before its Newton polish, kept as an independent oracle for the tests.
+"""The golden-section search that ``etlab`` polished with before its Newton
+and sampling searches, and the max-modulus search built on it, kept as
+independent oracles for the tests.
+
+``golden_min`` polished ``height_T``'s best sample before ``sample_min``;
+the height tests put it back in its place to compare the two polishes.
 
 log|f| is read on a dense grid of max(4096, 64 n) points, the root form by
 the cosine form 1 + r^2 - 2 r cos of |w - z_j|^2 and the coefficient form by
@@ -15,9 +19,39 @@ import math
 
 import numpy as np
 
-from etlab._search import golden_min
+from etlab._search import _step_count
 from etlab.measures import _BLOCK_DOUBLES, canonical_angle
 from etlab.polynomials import PolynomialSpec
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor per step
+
+
+def golden_min(f, lo, hi, tol):
+    """Golden-section search for a minimum of ``f`` in every bracket [lo, hi].
+
+    ``f`` maps a 1-d array of points to their values; its first call takes
+    both interior points of every bracket, each later call one new point per
+    bracket.  Returns 1-d arrays (x, f(x)) at the best point evaluated: the
+    better interior point is always the one kept, so it is the lower of the
+    final two.  For f unimodal, x is within tol of a minimizer.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    steps = _step_count(hi - lo, tol, _INV_PHI)
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = np.split(np.asarray(f(np.concatenate((c, d))), dtype=float), 2)
+    for _ in range(steps):
+        # keep [lo, d] when fc <= fd, else [c, hi]; the kept interior point
+        # becomes the far one of the new bracket
+        left = fc <= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        x_keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
+        x_new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        f_new = np.asarray(f(x_new), dtype=float)
+        c, d = np.where(left, x_new, x_keep), np.where(left, x_keep, x_new)
+        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 def log_abs_on_circle(f: PolynomialSpec, theta) -> np.ndarray:

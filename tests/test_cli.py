@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestPhi:
     def test_bad_domain_exit_2(self, capsys):
         code, _, err = invoke(capsys, "phi", "--L", "2", "--R", "1.5")
         assert code == 2 and "error:" in err
+
+    def test_infinite_R_exit_2_without_a_warning(self, capsys):
+        # numpy would warn on inf - inf in the integrand, before the domain error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(capsys, "phi", "--L", "0.5", "--R", "inf")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCheckPoly:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -120,6 +121,13 @@ class TestPhi:
             phi(1.2, 2.0)
         with pytest.raises(DomainError):
             phi(0.0, 0.9)
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_non_finite_R_rejected_before_any_arithmetic(self, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                phi(0.5, R)
 
     def test_monotone_in_both_arguments(self):
         ls = np.linspace(0.0, 0.9, 20)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import graded_quadrature as graded
 from conftest import assert_sharp_inequality
-from etlab import kernels
+from golden_modulus import golden_min
+from etlab import kernels, measures
 from etlab._search import bisect
+from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
 from etlab.errors import DomainError, EmptyMeasure, ZeroDiscrepancy
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.measures import (
@@ -433,6 +435,48 @@ class TestMixed:
     def test_masses(self):
         assert rho_type1(0.2).mass() == pytest.approx(1.0, abs=1e-9)
         assert rho_type2(0.13, 0.22, 0.05).mass() == pytest.approx(1.0, abs=1e-7)
+
+
+def criterion6_stage(rational: bool) -> EmpiricalMeasure:
+    """The discrete or rational stage of the sharpness chain at n = q = 4096."""
+    rho_n = discretize_measure(rho_type1(0.05), 4096)
+    return move_to_slab_midpoints(rationalize(rho_n, 4096), 4096) if rational else rho_n
+
+
+class TestHeightPolish:
+    @pytest.mark.parametrize("make, grid_n", [
+        (lambda: rho_type1(0.05), 2048),
+        (lambda: periodize(make_admissible(2.1, 0.1)), 256),
+        (lambda: periodize(make_admissible(1.4, 0.1)), 256),
+        (lambda: criterion6_stage(False), 4096),
+        (lambda: criterion6_stage(True), 4096),
+        (lambda: rho_type2(0.13, 0.22, 0.034), 1024),
+    ], ids=["type1", "periodized_II", "periodized_III", "discrete_4096", "rational_4096",
+            "type2_two_diracs"])
+    def test_agrees_with_golden_section(self, monkeypatch, make, grid_n):
+        # the same candidates and best sample, polished by golden section
+        rho = make()
+        h, _ = height_T(rho, grid_n)
+        monkeypatch.setattr(measures, "sample_min", golden_min)
+        h_golden, _ = height_T(rho, grid_n)
+        assert abs(h - h_golden) <= 1e-14
+
+    @pytest.mark.parametrize("rho", [
+        periodize(make_admissible(1.4, 0.1)),
+        EmpiricalMeasure.from_pairs([(0.1, 0.3), (0.35, 0.5), (-0.2, 0.2)]),
+    ], ids=["periodized_III", "empirical"])
+    def test_potential_calls_per_search(self, monkeypatch, rho):
+        # one grid call, then at most 7 calls of 32 points each
+        sizes = []
+        potential = type(rho).potential
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return potential(self, x)
+
+        monkeypatch.setattr(type(rho), "potential", counted)
+        height_T(rho, 256)
+        assert 2 <= len(sizes) <= 8 and set(sizes[1:]) == {32}
 
 
 class TestLineFunctionals:

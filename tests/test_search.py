@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from etlab._search import bisect, golden_min, newton_max
+from etlab._search import _SAMPLES, _step_count, bisect, newton_max, sample_min
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+SHRINK = 2.0 / (_SAMPLES + 1)  # sample_min's bracket shrink per call
 
 
 class Counted:
@@ -55,7 +55,50 @@ class TestBisect:
             bisect(lambda x: x < 0.5, lo, hi, tol)
 
 
-class TestGoldenMin:
+def step_count_loop(width, tol, shrink):
+    """The step count as a loop over the steps, the oracle for _step_count."""
+    steps = 0
+    while np.any(width * shrink**steps > tol):
+        steps += 1
+    return steps
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("shrink", [0.5, SHRINK, (math.sqrt(5.0) - 1.0) / 2.0])
+    def test_matches_the_loop(self, shrink):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            width = 10.0 ** rng.uniform(-20.0, 5.0, size=rng.integers(1, 6))
+            tol = 10.0 ** rng.uniform(-320.0, 2.0)
+            assert _step_count(width, tol, shrink) == step_count_loop(width, tol, shrink)
+
+    @pytest.mark.parametrize("shrink", [0.5, SHRINK])
+    def test_matches_the_loop_at_exact_powers(self, shrink):
+        # width * shrink**n == tol exactly: the least n is n itself, where
+        # the log estimate can round to either side
+        for n in range(1, 60):
+            width, tol = np.array([1.0, 0.25]), shrink**n
+            assert _step_count(width, tol, shrink) == step_count_loop(width, tol, shrink)
+
+    def test_tol_below_the_float_spacing_and_per_bracket_tols(self):
+        width = np.array([3.0, 0.0, 1e-3])
+        for tol in (1e-300, 5e-324, np.array([1e-17, 1.0, 1e-30])):
+            for shrink in (0.5, SHRINK):
+                assert _step_count(width, tol, shrink) == step_count_loop(width, tol, shrink)
+
+    def test_zero_when_every_bracket_is_within_tol(self):
+        assert _step_count(np.array([0.0, 1e-3]), 1e-3, 0.5) == 0
+
+    @pytest.mark.parametrize("width, tol", [
+        (np.array([1.0, np.inf]), 1e-9), (np.array([np.nan]), 1e-9), (np.array([-1.0]), 1e-9),
+        (np.array([1.0]), 0.0), (np.array([1.0]), -1e-9),
+    ])
+    def test_bad_widths_and_tols_rejected(self, width, tol):
+        with pytest.raises(ValueError):
+            _step_count(width, tol, 0.5)
+
+
+class TestSampleMin:
     # parabolas a (x - c)^2 on [0, 1]; the first has its minimum at the lower
     # edge, the last two at the upper edge.  No constant term: it would hide
     # x below sqrt(float spacing) in the values.
@@ -63,31 +106,42 @@ class TestGoldenMin:
     c = np.array([0.0, 0.1, 1.0 / 3.0, 0.5, 0.77, 1.0, 1.4])
 
     def f(self, x):
-        # the first call carries both interior points of every bracket
-        return np.resize(self.a, x.size) * (x - np.resize(self.c, x.size)) ** 2
+        # every call carries _SAMPLES points of each bracket in turn
+        return np.repeat(self.a, _SAMPLES) * (x - np.repeat(self.c, _SAMPLES)) ** 2
 
     def test_batch_of_parabolas(self):
-        x, fx = golden_min(self.f, np.zeros(self.c.size), 1.0, 1e-10)
+        x, fx = sample_min(self.f, np.zeros(self.c.size), 1.0, 1e-10)
         x_min = np.clip(self.c, 0.0, 1.0)
         assert np.all(np.abs(x - x_min) <= 1e-10)
-        assert np.array_equal(fx, self.f(x))
-        assert np.all(np.abs(fx - self.f(x_min)) <= 1e-10)
+        assert np.array_equal(fx, self.a * (x - self.c) ** 2)
+        assert np.all(np.abs(fx - self.a * (x_min - self.c) ** 2) <= 1e-10)
 
     def test_one_call_per_step_on_the_whole_batch(self):
         f = Counted(self.f)
-        golden_min(f, np.zeros(self.c.size), 1.0, 1e-6)
-        steps = math.ceil(math.log(1e-6) / math.log(INV_PHI))  # 0.618^29 = 8.6e-7
-        assert f.sizes == [2 * self.c.size] + [self.c.size] * steps
+        sample_min(f, np.zeros(self.c.size), 1.0, 1e-6)
+        steps = math.ceil(math.log(1e-6) / math.log(SHRINK))  # (2/33)^5 = 8.1e-7
+        assert f.sizes == [_SAMPLES * self.c.size] * steps
+
+    def test_keeps_an_earlier_lower_sample(self):
+        # the minimum 1/2 is sample 16 of [0, 33/32]; the next bracket's
+        # samples straddle it, and all lie above it
+        x, fx = sample_min(lambda x: (x - 0.5) ** 2, 0.0, 33.0 / 32.0, 1e-3)
+        assert x[0] == 0.5 and fx[0] == 0.0
 
     def test_ends_when_tol_is_below_the_float_spacing(self):
         f = Counted(lambda x: (x - 0.3) ** 2)
-        x, fx = golden_min(f, 0.0, 1.0, 1e-300)
-        assert len(f.sizes) == 1 + math.ceil(math.log(1e-300) / math.log(INV_PHI))
+        x, fx = sample_min(f, 0.0, 1.0, 1e-300)
+        assert len(f.sizes) == math.ceil(math.log(1e-300) / math.log(SHRINK))
         assert abs(x[0] - 0.3) <= 1e-7 and fx[0] <= 1e-14
+
+    def test_takes_one_step_on_a_bracket_within_tol(self):
+        f = Counted(lambda x: (x - 0.3) ** 2)
+        x, _ = sample_min(f, 0.29, 0.31, 0.1)
+        assert f.sizes == [_SAMPLES] and abs(x[0] - 0.3) <= 0.02 / (_SAMPLES + 1)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
-            golden_min(lambda x: x * x, -1.0, 1.0, 0.0)
+            sample_min(lambda x: x * x, -1.0, 1.0, 0.0)
 
 
 class TestNewtonMax:
