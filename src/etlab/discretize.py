@@ -41,7 +41,6 @@ __all__ = [
     "StageMetrics",
     "SharpnessReport",
     "sharpness_pipeline",
-    "cell_replacement_potential",
 ]
 
 
@@ -239,19 +238,3 @@ def sharpness_pipeline(m: float, n: int, q: int,
         report = check_et(f)
         poly_metrics = StageMetrics(report.D, report.H, report.H / report.D**2)
     return SharpnessReport(m, n, q, cont, disc, rat, poly_metrics)
-
-
-def cell_replacement_potential(density, a: float, b: float, x) -> np.ndarray:
-    """Potential of (endpoint masses - cell density) at points x outside [a, b].
-
-    Convexity of the kernel makes this nonnegative for every x outside the
-    cell; used as the direct verification of the height-drift mechanism.
-    """
-    m1, m2 = moment_match_cell(density, a, b)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    atoms = m1 * kernels.kernel_T(xs - a) + m2 * kernels.kernel_T(xs - b)
-    nodes, weights = kernels._gl_rule(32)
-    ys = a + (b - a) * nodes
-    dens_vals = density(ys) * weights * (b - a)
-    removed = kernels.kernel_T(xs[:, None] - ys[None, :]) @ dens_vals
-    return atoms - removed

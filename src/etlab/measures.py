@@ -55,7 +55,6 @@ __all__ = [
     "GridBackedDensity",
     "UniformPlusDensity",
     "discrepancy_empirical",
-    "discrepancy_empirical_bruteforce",
     "discrepancy_mixed",
     "height_T",
     "g_ratio",
@@ -343,24 +342,6 @@ def discrepancy_empirical(rho: EmpiricalMeasure) -> tuple[float, IntervalT]:
     value = float(a_vals[j] - b_vals[i])
     length = (theta[j] - theta[i]) % 1.0 if i != j else 0.0
     return value, IntervalT(theta[i], length)
-
-
-def discrepancy_empirical_bruteforce(rho: EmpiricalMeasure) -> float:
-    """O(n^2) sweep over all closed atom-to-atom arcs; the testing oracle."""
-    _check_probability(rho)
-    theta = rho.angles
-    w = rho.weights
-    prefix = np.cumsum(w)
-    total = float(prefix[-1])
-    n = theta.size
-    best = -np.inf
-    for i in range(n):
-        before_i = prefix[i] - w[i]
-        mass = prefix - before_i
-        mass[:i] = total - (before_i - prefix[:i])  # arcs wrapping past the seam
-        length = (theta - theta[i]) % 1.0
-        best = max(best, float(np.max(mass - length)))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,9 @@ def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
 def _solve_on(support: np.ndarray, u_grid: np.ndarray, mass: float) -> np.ndarray:
     """Cell values of mean ``mass``, zero off ``support`` and with U + W * rho
     constant on it: conjugate gradients on rho's mean-zero part there, stopped
-    at 1e-13 of the unprojected right side so that its rounding is not chased."""
+    at 1e-13 of the unprojected right side so that its rounding is not chased,
+    or where the curvature d . Kd is not positive (it underflows to 0 when the
+    right side is subnormal)."""
     idx = np.flatnonzero(support)
     rho = np.zeros(support.size)
     rho[idx] = base = mass * support.size / idx.size
@@ -221,7 +223,10 @@ def _solve_on(support: np.ndarray, u_grid: np.ndarray, mass: float) -> np.ndarra
         rho[idx] = d
         kd = _interaction_potential(rho)[idx]
         kd -= kd.mean()
-        alpha = rr / float(d @ kd)
+        curvature = float(d @ kd)
+        if not curvature > 0.0:
+            break
+        alpha = rr / curvature
         x += alpha * d
         r -= alpha * kd
         rr, rr_old = float(r @ r), rr

@@ -80,6 +80,18 @@ class TestCheckPoly:
         payload = json.loads(out.strip().split("\n")[-1])
         assert payload["D"] == pytest.approx(0.25, abs=1e-9)
 
+    def test_huge_root_modulus_gives_finite_json(self, capsys, tmp_path):
+        # (Re w - Re z)^2 overflows for |z| = 1e200; the true H is about 115.5
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"roots": [[1e200, 0.0], [1.0, 0.25]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = invoke(capsys, "check-poly", str(path))
+        assert code in (0, 1)
+        payload = json.loads(out.strip().split("\n")[-1], parse_constant=_reject_constant)
+        assert payload["H"] == pytest.approx(0.25 * math.log(1e200) + 0.5 * math.log(2.0),
+                                             rel=1e-5)  # printed to 6 digits
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "check-poly", str(tmp_path / "nope.json"))
         assert code == 2
@@ -396,6 +408,7 @@ class TestDocumentFuzz:
     @given(doc=SCENARIO_DOCS)
     @example(doc={"M": 0.0, "m": 0.25, "n_cells": 16, "iters": 9,
                   "mass": 1.6935730096421992e-270})
+    @example(doc={"M": 0.0, "m": 1.4172571284121228e-158, "n_cells": 16, "iters": 1})
     def test_simulate_scenario(self, tmp_path, capsys, doc):
         self.run_doc(tmp_path, capsys, "simulate", doc, "--out", str(tmp_path / "final.csv"))
 

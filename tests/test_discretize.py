@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import assert_sharp_inequality
 from graded_quadrature import integrate_piece
 from etlab.discretize import (
-    cell_replacement_potential,
     discretize_measure,
     moment_match_cell,
     move_to_slab_midpoints,
@@ -18,7 +17,7 @@ from etlab.discretize import (
 )
 from etlab.errors import NegativeDensity, NonRationalWeights, QTooSmall
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
-from etlab.kernels import _gl_rule
+from etlab.kernels import _gl_rule, kernel_T
 from etlab.measures import (
     EmpiricalMeasure,
     GridBackedDensity,
@@ -28,6 +27,19 @@ from etlab.measures import (
     g_ratio,
     height_T,
 )
+
+
+def cell_replacement_potential(density, a, b, x):
+    """Potential of (endpoint masses - cell density) at points x outside [a, b],
+    the cell density by 32 Gauss-Legendre nodes.  Convexity of the kernel makes
+    it nonnegative there: the direct check of the height-drift mechanism."""
+    m1, m2 = moment_match_cell(density, a, b)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    atoms = m1 * kernel_T(xs - a) + m2 * kernel_T(xs - b)
+    nodes, weights = _gl_rule(32)
+    ys = a + (b - a) * nodes
+    removed = kernel_T(xs[:, None] - ys[None, :]) @ (density(ys) * weights * (b - a))
+    return atoms - removed
 
 
 def constant(c):

@@ -31,7 +31,6 @@ from etlab.measures import (
     d_tilde,
     d_tilde_quadrature,
     discrepancy_empirical,
-    discrepancy_empirical_bruteforce,
     discrepancy_mixed,
     g_ratio,
     g_tilde,
@@ -61,6 +60,20 @@ class TestAngles:
             IntervalT(0.0, 1.0)
         arc = IntervalT(0.75, 0.5)
         assert arc.start == -0.25 and arc.end == pytest.approx(0.25)
+
+
+def discrepancy_empirical_bruteforce(rho: EmpiricalMeasure) -> float:
+    """O(n^2) sweep over all closed atom-to-atom arcs."""
+    theta, w = rho.angles, rho.weights
+    prefix = np.cumsum(w)
+    total = float(prefix[-1])
+    best = -np.inf
+    for i in range(theta.size):
+        before_i = prefix[i] - w[i]
+        mass = prefix - before_i
+        mass[:i] = total - (before_i - prefix[:i])  # arcs wrapping past the seam
+        best = max(best, float(np.max(mass - (theta - theta[i]) % 1.0)))
+    return best
 
 
 class TestEmpirical:

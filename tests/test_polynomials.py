@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import golden_modulus
 from conftest import assert_sharp_inequality
+from etlab import polynomials
 from etlab.errors import (
     DomainError,
     NonRationalWeights,
@@ -153,6 +155,17 @@ class TestHeights:
         f = PolynomialSpec(moduli=np.array([1.0]), angles=np.array([0.0]), leading=1e308j)
         assert f.log_a0_an_magnitude() == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
         assert height_poly(f) == pytest.approx(math.log(2.0), abs=1e-10)
+
+    def test_huge_root_modulus(self):
+        # f = (z - 1e200)(z - i): (Re w - Re z)^2 would overflow; on |w| = 1
+        # max |f| = 2e200 (1 + O(1e-200)) at w = -i, and |a_0 a_n| = 1e200
+        f = PolynomialSpec(moduli=np.array([1e200, 1.0]), angles=np.array([0.0, 0.25]))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            h = height_poly(f)
+            vals = f.log_abs_on_circle(np.array([-0.25, 0.0, 0.3]))
+        assert h == pytest.approx(0.25 * math.log(1e200) + 0.5 * math.log(2.0), rel=1e-15)
+        for th, v in zip((-0.25, 0.0, 0.3), vals):
+            assert v == pytest.approx(mp_log_abs(f, th), rel=1e-15)
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ZeroCoefficient):
@@ -340,7 +353,8 @@ class TestJsonAndConstruction:
         g = f.with_computed_roots()
         assert g.degree == 2
         assert np.allclose(np.sort(g.moduli), [math.sqrt(2.0)] * 2)
-        back = g.expanded_coeffs()
+        roots_only = PolynomialSpec(moduli=g.moduli, angles=g.angles, leading=g.leading)
+        back = roots_only.expanded_coeffs()
         assert np.allclose(back, [2.0, 0.0, 1.0], atol=1e-12)
 
     def test_json_roundtrip_both_forms(self):
@@ -365,3 +379,159 @@ class TestJsonAndConstruction:
         rng = np.random.default_rng(n)
         f = unit_roots(rng.uniform(-0.5, 0.5, n))
         assert sector_count(f, -0.5, 0.49999999) == n
+
+
+def gaussian_form(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+
+
+def matched_gap(z, ref):
+    """max |z_i - ref_pi(i)| / max(1, |ref_pi(i)|) over the matching pi that
+    minimizes the sum of the gaps."""
+    gap = np.abs(np.subtract.outer(z, ref)) / np.maximum(1.0, np.abs(ref))
+    i, j = linear_sum_assignment(gap)
+    assert i.size == z.size == ref.size
+    return float(gap[i, j].max())
+
+
+def backward_error(c, z):
+    """|p(z)| / sum |a_k| |z|^k by Horner, from the reversed coefficients at
+    1/z where |z| > 1."""
+    out = np.empty(z.size)
+    for sel, a, x in ((np.abs(z) <= 1.0, c, z), (np.abs(z) > 1.0, c[::-1], 1.0 / z)):
+        out[sel] = (np.abs(np.polynomial.polynomial.polyval(x[sel], a))
+                    / np.polynomial.polynomial.polyval(np.abs(x[sel]), np.abs(a)))
+    return out
+
+
+def mp_newton_steps(c, z):
+    """|p(z_j) / p'(z_j)| in 40-digit arithmetic: to first order the distance
+    from z_j to the nearest root, where that root is simple."""
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(a) for a in c[::-1].tolist()]
+        out = []
+        for zj in z.tolist():
+            p, dp = mpmath.polyval(coeffs, mpmath.mpc(zj), derivative=True)
+            out.append(float(abs(p / dp)))
+    return np.array(out)
+
+
+class TestAberthRoots:
+    """Batched Aberth-Ehrlich roots of coefficient forms (degree 48 and up)
+    against np.roots, mpmath and closed forms."""
+
+    @pytest.mark.parametrize("n", [64, 160, 512, 1024])
+    def test_match_np_roots_on_gaussian_forms(self, n):
+        c = gaussian_form(n, 7000 + n)
+        z = polynomials._aberth_roots(c)
+        assert z is not None
+        assert matched_gap(z, np.roots(c[::-1])) <= 1e-12
+
+    def test_match_mpmath_at_degree_256(self):
+        # each root is within 1e-13 of a root by a 40-digit Newton step, and
+        # the roots lie far enough apart that no two share one
+        c = gaussian_form(256, 256)
+        z = polynomials._aberth_roots(c)
+        steps = mp_newton_steps(c, z)
+        assert float((steps / np.maximum(1.0, np.abs(z))).max()) <= 1e-13
+        sep = np.abs(np.subtract.outer(z, z))
+        np.fill_diagonal(sep, np.inf)
+        assert float(sep.min()) > 1e3 * float(steps.max())
+
+    def test_discrepancy_matches_the_np_roots_path(self):
+        # the coefficient items of the benchmark corpus from degree 48 on
+        rng = np.random.default_rng(4242)
+        for n in (48, 64, 80, 96, 128, 160, 192, 256):
+            c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+            ref = np.roots(c[::-1])
+            d_ref, _ = discrepancy_poly(PolynomialSpec(
+                moduli=np.abs(ref), angles=np.angle(ref) / (2.0 * math.pi)))
+            assert abs(check_et(g).D - d_ref) <= 1e-12, n
+
+    def test_unit_circle_with_zero_coefficients(self):
+        # z^1024 + 1: a_1 .. a_1023 = 0, one hull edge; roots e^{i pi (2k+1)/1024}
+        c = np.zeros(1025, dtype=complex)
+        c[0] = c[-1] = 1.0
+        z = polynomials._aberth_roots(c)
+        exact = np.exp(1j * np.pi * (2.0 * np.arange(1024) + 1.0) / 1024)
+        assert matched_gap(z, exact) <= 1e-14
+
+    @pytest.mark.parametrize("c", [
+        np.r_[1.0, -2.0, np.zeros(62), 1.0],                  # z^64 - 2z + 1
+        np.r_[1.0, np.zeros(47), 2.0, np.zeros(47), 1.0],     # (z^48 + 1)^2
+        np.r_[1.0, np.zeros(63), 1e300, np.zeros(63), 1.0],   # moduli 1e±4.7
+    ])
+    def test_start_has_n_points_with_zero_coefficients(self, c):
+        c = c.astype(complex)
+        start = polynomials._newton_polygon_start(c)
+        assert start.size == c.size - 1 and np.all(np.isfinite(start))
+        z = polynomials._aberth_roots(c)
+        assert z is not None
+        assert float(backward_error(c, z).max()) <= 1e-13
+
+    def test_moduli_spread_over_sixteen_decades(self):
+        rng = np.random.default_rng(88)
+        roots = 10.0 ** rng.uniform(-8.0, 8.0, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+        c = np.polynomial.polynomial.polyfromroots(roots)
+        z = polynomials._aberth_roots(c)
+        assert z is not None
+        assert matched_gap(z, roots) <= 1e-12
+        assert matched_gap(z, np.roots(c[::-1])) <= 1e-12
+
+    def test_fallback_to_np_roots(self, monkeypatch):
+        # (z - 1)^16 (z + 2) does converge in the step cap (the cluster of 16
+        # meets the backward-error test at about 0.2 from 1), so the cap is
+        # lowered to 2 to make the solve give up
+        c = np.polynomial.polynomial.polyfromroots([1.0] * 16 + [-2.0]).astype(complex)
+        monkeypatch.setattr(polynomials, "_ABERTH_MIN_DEGREE", 1)
+        monkeypatch.setattr(polynomials, "_ABERTH_STEPS", 2)
+        assert polynomials._aberth_roots(c) is None
+        g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+        ref = np.roots(c[::-1])
+        assert np.array_equal(g.moduli, np.abs(ref))
+        assert np.array_equal(g.angles, PolynomialSpec(
+            moduli=np.abs(ref), angles=np.angle(ref) / (2.0 * math.pi)).angles)
+
+    def test_non_finite_step_falls_back(self, monkeypatch):
+        c = gaussian_form(64, 3)
+        start = polynomials._newton_polygon_start(c)
+        start[5] = np.nan
+        monkeypatch.setattr(polynomials, "_newton_polygon_start", lambda _: start)
+        assert polynomials._aberth_roots(c) is None
+        g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+        assert np.array_equal(g.moduli, np.abs(np.roots(c[::-1])))
+
+    def test_below_the_crossover_np_roots_runs(self):
+        c = gaussian_form(polynomials._ABERTH_MIN_DEGREE - 1, 5)
+        g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+        assert np.array_equal(g.moduli, np.abs(np.roots(c[::-1])))
+
+    def test_bitwise_reproducible(self):
+        f = PolynomialSpec.from_coeffs(gaussian_form(256, 11))
+        g1, g2 = f.with_computed_roots(), f.with_computed_roots()
+        assert np.array_equal(g1.moduli, g2.moduli)
+        assert np.array_equal(g1.angles, g2.angles)
+        assert check_et(g1) == check_et(g2)
+
+
+class TestComputedRootCopy:
+    """The copy from with_computed_roots keeps its coefficients, which define f."""
+
+    @pytest.mark.parametrize("n", [3, 40, 64, 256])
+    def test_height_is_the_coefficient_height(self, n):
+        f = PolynomialSpec.from_coeffs(gaussian_form(n, 900 + n))
+        g = f.with_computed_roots()
+        assert g.coeffs is f.coeffs and g.has_roots
+        assert check_et(g).H == height_poly(f)
+        assert g.log_a0_an_magnitude() == f.log_a0_an_magnitude()
+
+    def test_json_keeps_the_coefficients(self):
+        f = PolynomialSpec.from_coeffs([1.0, 2.0 + 1.0j, 3.0])
+        assert poly_to_json(f.with_computed_roots()) == poly_to_json(f)
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            PolynomialSpec(coeffs=np.array([1.0, 0.0, 1.0]), moduli=np.ones(3),
+                           angles=np.zeros(3))

@@ -278,6 +278,17 @@ class TestMinimize:
         assert float(grid.values.min()) >= 0.0
         assert math.fsum(grid.values.tolist()) / n == pytest.approx(mass, rel=1e-12)
 
+    def test_subnormal_right_side_ends_the_solve(self):
+        # with m = 1.4e-158 the solve's right side is subnormal: r . r, its
+        # stop 1e-26 y . y and the curvature d . Kd all underflow to 0
+        m = 1.4172571284121228e-158
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergence)
+            grid, residual = minimize_energy(ExternalPotentialSpec(0.0, m), 1.0 - 2.0 * m,
+                                             16, 1)
+        assert 0.0 <= residual < 1e-150
+        assert np.all(grid.values == 1.0)
+
     @pytest.mark.parametrize("M, m, n, mass", [
         (0.0, 0.25, 16, 1.6935730096421992e-270),
         (0.1, 0.4, 64, 1e-300),
