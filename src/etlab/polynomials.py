@@ -148,15 +148,20 @@ class PolynomialSpec:
 
     def with_computed_roots(self) -> "PolynomialSpec":
         """Copy with roots solved from the coefficients, which it keeps (they
-        still define f).  Degrees from ``_ABERTH_MIN_DEGREE`` on take batched
-        Aberth-Ehrlich steps; smaller degrees, and solves that do not converge
-        in ``_ABERTH_STEPS``, take ``np.roots``."""
+        still define f).  The solve runs on p(2^e w), whose end coefficients
+        a_0 and a_n 2^(en) are about equal in size, and scales the roots back
+        by 2^e; powers of two are exact.  Degrees from ``_ABERTH_MIN_DEGREE``
+        on take batched Aberth-Ehrlich steps; smaller degrees, and solves that
+        do not converge in ``_ABERTH_STEPS``, take ``np.roots``."""
         if self.has_roots:
             return self
         c = self.coeffs
-        rts = _aberth_roots(c) if c.size > _ABERTH_MIN_DEGREE else None
+        b, e = _unit_scaled(c)
+        rts = _aberth_roots(b) if c.size > _ABERTH_MIN_DEGREE else None
         if rts is None:
-            rts = np.roots(c[::-1])
+            rts = np.roots(b[::-1])
+        if e:
+            rts = _ldexp(rts, e)
         return PolynomialSpec(
             coeffs=c,
             moduli=np.abs(rts),
@@ -212,6 +217,28 @@ class PolynomialSpec:
                 w = re_w[i:i + block] + 1j * im_w[i:i + block]
                 out[i:i + block] += np.log(np.abs(1.0 - np.outer(w, inv_huge))).sum(axis=1)
         return out
+
+
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2^e, exactly, part by part."""
+    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+
+
+def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(b, e) with b_k = a_k 2^(ek) and e = round(log2|a_0 / a_n| / n), so
+    that the roots of sum b_k w^k are those of sum a_k z^k over 2^e and their
+    geometric mean modulus is about 1: without it a form like
+    1e300 z^64 + 1e-300 has roots (of modulus 4e-10) that are representable
+    where z^64 and a_0 / a_n are not.  e = 0 also where |a_0|, |a_n| or some
+    b_k would not be finite; where e = 0, b is c itself."""
+    n = c.size - 1
+    with np.errstate(over="ignore"):
+        lo, hi = np.log2(np.abs(c[[0, -1]]))
+        e = round((lo - hi) / n) if np.isfinite(lo - hi) else 0
+        if e == 0:
+            return c, 0
+        b = _ldexp(c, e * np.arange(n + 1))
+    return (b, e) if np.all(np.isfinite(b)) else (c, 0)
 
 
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:

@@ -92,6 +92,19 @@ class TestCheckPoly:
         assert payload["H"] == pytest.approx(0.25 * math.log(1e200) + 0.5 * math.log(2.0),
                                              rel=1e-5)  # printed to 6 digits
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_tiny_roots_give_finite_json(self, capsys, tmp_path, n):
+        # 1e300 z^n + 1e-300 has roots of modulus (1e-600)^(1/n), 3e-38 and
+        # 4e-10; unscaled they came out as exact zeros and the exit code was 2
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"coeffs": [[1e-300, 0.0]] + [[0.0, 0.0]] * (n - 1)
+                                    + [[1e300, 0.0]]}))
+        code, out, _ = invoke(capsys, "check-poly", str(path))
+        assert code == 0
+        payload = json.loads(out.strip().split("\n")[-1], parse_constant=_reject_constant)
+        assert payload["H"] == pytest.approx(300.0 * math.log(10.0) / n, rel=1e-5)
+        assert payload["D"] == pytest.approx(1.0 / n, rel=1e-5)
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "check-poly", str(tmp_path / "nope.json"))
         assert code == 2

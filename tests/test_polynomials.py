@@ -516,6 +516,59 @@ class TestAberthRoots:
         assert check_et(g1) == check_et(g2)
 
 
+class TestPowerOfTwoScaling:
+    """with_computed_roots solves p(2^e w), whose end coefficients a_0 and
+    a_n 2^(en) are about equal, and scales the roots back by 2^e."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_tiny_roots_of_a_huge_leading_coefficient(self, n):
+        # 1e300 z^n + 1e-300: a_0 / a_n = 1e-600 underflows, and so does z^n at
+        # the roots, which are (1e-600)^(1/n) e^{i pi (2k + 1) / n}; unscaled,
+        # np.roots returned exact zeros (ZeroCoefficient)
+        c = np.zeros(n + 1, dtype=complex)
+        c[0], c[-1] = 1e-300, 1e300
+        g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+        radius = 10.0 ** (-600.0 / n)
+        exact = np.exp(1j * np.pi * (2.0 * np.arange(n) + 1.0) / n)
+        assert matched_gap(g.roots_complex() / radius, exact) <= 1e-14
+        report = check_et(g)
+        assert report.D == pytest.approx(1.0 / n, abs=1e-12)
+        assert report.H == pytest.approx(300.0 * math.log(10.0) / n, rel=1e-14)
+
+    def test_scaling_is_exact(self):
+        c = np.array([3e-200 + 1e-201j, 2.0, -1e-100j, 0.5e100], dtype=complex)
+        b, e = polynomials._unit_scaled(c)
+        assert e == round(math.log2(abs(c[0] / c[-1])) / 3) != 0
+        for k in range(4):
+            assert b[k].real == math.ldexp(c[k].real, e * k)
+            assert b[k].imag == math.ldexp(c[k].imag, e * k)
+        assert abs(math.log2(abs(b[0] / b[-1]))) <= 1.5
+
+    @pytest.mark.parametrize("n", [*range(1, 24), 47, 48, 64, 128])
+    def test_ordinary_forms_move_only_at_rounding(self, n):
+        # a Gaussian form against np.roots on its unscaled coefficients
+        c = gaussian_form(n, 6100 + n)
+        g = PolynomialSpec.from_coeffs(c).with_computed_roots()
+        assert matched_gap(g.roots_complex(), np.roots(c[::-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 23, 47, 48, 128])
+    def test_shrunken_roots(self, n):
+        # sum g_k (3z)^k, whose roots are those of the Gaussian form g over 3:
+        # here e = -2, and unscaled np.roots was 2e-11 off at n = 23 and 5e-2
+        # at n = 47, where the coefficients span 3^47 = 3e22
+        g = gaussian_form(n, 6300 + n)
+        c = g * 3.0 ** np.arange(n + 1)
+        assert polynomials._unit_scaled(c)[1] == -2
+        z = PolynomialSpec.from_coeffs(c).with_computed_roots().roots_complex()
+        assert matched_gap(z, np.roots(g[::-1]) / 3.0) <= 1e-14
+
+    def test_overflowing_scale_is_skipped(self):
+        # 1e-300 z^2 + 1e300 z + 1e300: e = 997 would make b_1 = 1e300 2^997
+        c = np.array([1e300, 1e300, 1e-300], dtype=complex)
+        b, e = polynomials._unit_scaled(c)
+        assert e == 0 and b is c
+
+
 class TestComputedRootCopy:
     """The copy from with_computed_roots keeps its coefficients, which define f."""
 
