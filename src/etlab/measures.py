@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect, sample_min
-from .errors import DomainError, EmptyMeasure, ZeroDiscrepancy
+from .errors import DomainError, EmptyMeasure, LambdaTooLarge, ZeroDiscrepancy
 from .kernels import kernel_T
 
 __all__ = [
@@ -581,69 +581,68 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Periodization density (lattice sum with analytic tail)
+# Periodization density (near translates summed, far lattice interpolated)
 # ---------------------------------------------------------------------------
+
+_LATTICE_J = 400  # translates summed; the polygamma tail restores the rest
+# The translates |j| >= 2 are analytic on [-1/2, 1/2]: their nearest kink,
+# 2 - lam R, lies at least 1.339 from the centre (lam R <= 0.661 under the
+# lambda gate, at R = 1.32, lam = 1/2), so their Chebyshev interpolant converges
+# like 5.16**-n, its Bernstein ellipse (Trefethen, ATAP ch. 8): 8e-18 at 24.
+_FAR_NODES = 24
+
+
+def _lattice_sum(mu: AdmissibleDistR, xs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """sum of mu(x - j) over the shifts j at each x, in blocks of about
+    ``_BLOCK_DOUBLES`` terms."""
+    out = np.empty(xs.size)
+    block = max(1, _BLOCK_DOUBLES // shifts.size)
+    for i in range(0, xs.size, block):
+        out[i:i + block] = admissible_density_line(mu, xs[i:i + block, None] - shifts).sum(axis=1)
+    return out
+
+
+def _lattice_tail(mu: AdmissibleDistR, xs: np.ndarray) -> np.ndarray:
+    """sum of mu(x - j) over |j| > _LATTICE_J from mu(t) ~ c lam^2/t^2 +
+    d lam^4/t^4, by sum_{k >= 0} (z + k)^-(n+1) = (-1)^(n+1) psi^(n)(z) / n!."""
+    from scipy.special import polygamma  # deferred: scipy is slow to import
+
+    c, d = mu.tail_coefficients()
+    return sum(c * mu.lam**2 * polygamma(1, z) + d * mu.lam**4 * polygamma(3, z) / 6.0
+               for z in (_LATTICE_J + 1.0 + xs, _LATTICE_J + 1.0 - xs))
 
 
 class PeriodizedDensity:
-    """1 + sum_j mu(x - j) for an admissible line distribution (Diracs excluded).
+    """1 + sum_j mu(x - j) for an admissible line distribution (Diracs
+    excluded), with lam <= 1 (kind I) or lam <= 1/2 and lam*m < 1/2.
 
-    The lattice sum is truncated at 400 translates on each side with the tail
-    restored from the 1/x^2 + 1/x^4 asymptotics via polygamma sums, then
-    compressed into per-arc Chebyshev interpolants under the sin^2 change of
-    variable that absorbs the sqrt kinks at the support edges, 200 nodes
-    per arc.
+    At x in [-1/2, 1/2) the translates j = -1, 0, 1, which carry every kink
+    on the circle, are summed; the rest are analytic there and come from one
+    Chebyshev interpolant, fitted once per measure from the sum over
+    2 <= |j| <= 400 and its tail.  ``evaluate_direct`` sums |j| <= 400 and the tail.
     """
 
     def __init__(self, mu: AdmissibleDistR):
+        if mu.lam > 1.0 or mu.kind != "I" and (mu.lam > 0.5 or mu.lam * mu.m >= 0.5):
+            raise LambdaTooLarge(f"need lam <= 1 (kind I) or lam <= 1/2 and lam*m < 1/2: {mu}")
         self.mu = mu
         kinks = sorted({canonical_angle(s * e) for e in mu.support_edges() for s in (1, -1)})
-        self._kinks = kinks
-        arcs = []
-        for i, lo in enumerate(kinks):
-            hi = kinks[i + 1] if i + 1 < len(kinks) else kinks[0] + 1.0
-            if hi - lo > 1e-13:
-                arcs.append((lo, hi))
-        self._arcs = arcs
-        self._coeffs = []
-        for lo, hi in arcs:
-            phi = (np.pi / 4.0) * (_cheb_nodes(200) + 1.0)
-            x = lo + (hi - lo) * np.sin(phi) ** 2
-            self._coeffs.append(_cheb_fit(self.evaluate_direct(x)))
+        self._arcs = [(lo, hi) for lo, hi in zip(kinks, kinks[1:] + [kinks[0] + 1.0])
+                      if hi - lo > 1e-13]
+        far = np.arange(2, _LATTICE_J + 1)
+        nodes = 0.5 * _cheb_nodes(_FAR_NODES)
+        self._far = _cheb_fit(_lattice_sum(mu, nodes, np.concatenate((-far[::-1], far)))
+                              + _lattice_tail(mu, nodes))
 
     def evaluate_direct(self, x) -> np.ndarray:
-        """Truncated lattice sum plus polygamma tail (no interpolation)."""
-        from scipy.special import polygamma  # deferred: scipy is slow to import
-
         xs = np.atleast_1d(_canonical_array(x))
-        J = 400
-        shifts = np.arange(-J, J + 1)
-        total = np.ones_like(xs)
-        block = max(1, _BLOCK_DOUBLES // (2 * J + 1))
-        for i in range(0, xs.size, block):
-            pts = xs[i:i + block, None] - shifts[None, :]
-            total[i:i + block] += admissible_density_line(self.mu, pts).sum(axis=1)
-        c, d = self.mu.tail_coefficients()
-        lam = self.mu.lam
-        zp, zm = J + 1.0 + xs, J + 1.0 - xs
-        tail = c * lam**2 * (polygamma(1, zp) + polygamma(1, zm))
-        tail += d * lam**4 * (polygamma(3, zp) + polygamma(3, zm)) / 6.0
-        return total + tail
+        return 1.0 + _lattice_sum(self.mu, xs, np.arange(-_LATTICE_J, _LATTICE_J + 1)) \
+            + _lattice_tail(self.mu, xs)
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.atleast_1d(_canonical_array(x))
-        base = self._arcs[0][0]
-        rel = (xs - base) % 1.0 + base
-        out = np.empty_like(rel)
-        for (lo, hi), coeffs in zip(self._arcs, self._coeffs):
-            mask = (rel >= lo) & (rel <= hi)
-            if not mask.any():
-                continue
-            ratio = np.clip((rel[mask] - lo) / (hi - lo), 0.0, 1.0)
-            phi = np.arcsin(np.sqrt(ratio))
-            u = 4.0 * phi / np.pi - 1.0
-            out[mask] = np.polynomial.chebyshev.chebval(u, coeffs)
-        return out
+        return 1.0 + _lattice_sum(self.mu, xs, np.array([-1.0, 0.0, 1.0])) \
+            + np.polynomial.chebyshev.chebval(2.0 * xs, self._far)
 
     def pieces(self) -> list[tuple[float, float]]:
         return list(self._arcs)
@@ -921,7 +920,7 @@ def _crossings(fixed: _FixedNodes, level: float) -> np.ndarray:
     bracketed between neighbours among the panel ends and nodes, then
     bisected, all panels at once, and the panel edges where the interpolants
     on the two sides lie on either side (at a sqrt kink they can disagree,
-    by 3.5e-6 for a ``PeriodizedDensity`` at (R, lam) = (1.005, 0.005)).
+    by 3.6e-6 for a ``PeriodizedDensity`` at (R, lam) = (1.005, 0.005)).
     A sign change by at most 1e-12 is no bracket.  At level 1 a missed pair
     of crossings moves the sup of ``discrepancy_mixed`` by less than 1e-12
     times its width, and the fit of a panel equal to 1 rounds to 1.1e-13;

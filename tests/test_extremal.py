@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graded_quadrature as graded
-from etlab import kernels
+from etlab import kernels, measures
 from etlab.errors import AtDirac, DomainError, LambdaTooLarge
 from etlab.extremal import (
     TABLE1_R_GRID,
@@ -81,19 +81,55 @@ def line_potential(mu: AdmissibleDistR, x: float, T: float = 100.0) -> float:
 
 
 def mpmath_phi(L: float, R: float) -> float:
-    """phi at 30 digits with the pole at 1 removed analytically:
-    1/(x^2 - 1) = (1/(x - 1) - 1/(x + 1))/2 and
-    pv int g/(x - 1) = int (g - g(1))/(x - 1) + g(1) log((R - 1)/(1 - L))."""
+    """phi at 30 digits."""
     with mpmath.workdps(30):
-        LL, RR = mpmath.mpf(L), mpmath.mpf(R)
+        return float(_mp_phi(mpmath.mpf(L), mpmath.mpf(R)))
 
-        def g(x):
-            return mpmath.sqrt(max(mpmath.mpf(0), (RR * RR - x * x) * (x * x - LL * LL)))
 
-        g1 = g(mpmath.mpf(1))
-        pv = mpmath.quad(lambda x: (g(x) - g1) / (x - 1) if x != 1 else mpmath.diff(g, 1),
-                         [LL, 1, RR]) + g1 * mpmath.log((RR - 1) / (1 - LL))
-        return float((pv - mpmath.quad(lambda x: g(x) / (x + 1), [LL, RR])) / 2)
+def _mp_phi(LL, RR):
+    """phi at mpmath's working precision, with the pole at 1 removed
+    analytically: 1/(x^2 - 1) = (1/(x - 1) - 1/(x + 1))/2 and
+    pv int g/(x - 1) = int (g - g(1))/(x - 1) + g(1) log((R - 1)/(1 - L))."""
+    def g(x):
+        return mpmath.sqrt(max(mpmath.mpf(0), (RR * RR - x * x) * (x * x - LL * LL)))
+
+    g1 = g(mpmath.mpf(1))
+    pv = mpmath.quad(lambda x: (g(x) - g1) / (x - 1) if x != 1 else mpmath.diff(g, 1),
+                     [LL, 1, RR]) + g1 * mpmath.log((RR - 1) / (1 - LL))
+    return (pv - mpmath.quad(lambda x: g(x) / (x + 1), [LL, RR])) / 2
+
+
+def mpmath_periodized(mu: AdmissibleDistR, x: float, J: int = 40, K: int = 12) -> float:
+    """1 + sum_j mu(x - j) at 30 digits: the translates |j| <= J from the
+    density's formula, the rest from the expansion mu(t) = sum_k g_k
+    (lam / t)^(2k) of sqrt((1 - a s)(1 - b s))/(1 - s) - 1 in s = (lam/t)^2
+    (kind I: sqrt(1 - s/pi^2) - 1), k <= K, summed by Hurwitz zeta."""
+    with mpmath.workdps(30):
+        lam, xx = mpmath.mpf(mu.lam), mpmath.mpf(x)
+        if mu.kind == "I":
+            edge = 1 / mpmath.pi
+
+            def line(u):
+                return -1 + (mpmath.sqrt(u * u - edge * edge) / abs(u) if abs(u) >= edge else 0)
+
+            def series(s):
+                return mpmath.sqrt(1 - s / mpmath.pi**2) - 1
+        else:
+            R, L = mpmath.mpf(mu.R), mpmath.mpf(mu.L)
+
+            def line(u):
+                on = abs(u) >= R or abs(u) <= L
+                return -1 + (mpmath.sqrt((u * u - R * R) * (u * u - L * L)) / abs(u * u - 1)
+                             if on else 0)
+
+            def series(s):
+                return mpmath.sqrt((1 - R * R * s) * (1 - L * L * s)) / (1 - s) - 1
+        total = 1 + mpmath.fsum(line((xx - j) / lam) for j in range(-J, J + 1))
+        g = mpmath.taylor(series, 0, K)
+        total += mpmath.fsum(g[k] * lam ** (2 * k) * (mpmath.zeta(2 * k, J + 1 - xx)
+                                                      + mpmath.zeta(2 * k, J + 1 + xx))
+                             for k in range(1, K + 1))
+        return float(total)
 
 
 class TestPhi:
@@ -184,9 +220,22 @@ class TestCurve:
             assert 0.0 < L < 1e-5
             assert abs(mpmath_phi(L, R)) <= 1e-12
 
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 1e-10])
+    def test_root_next_to_the_pole(self, R):
+        # 1 - L(R) is about R - 1 here, so the root lies above 1 - 1e-6; the
+        # 30-digit root is found between 1 - 10 (R - 1) and 1 - (R - 1)/100.
+        # Measured: within 2.7e-15 of it; the bisection stops at 1e-14
+        with mpmath.workdps(30):
+            RR = mpmath.mpf(R)
+            bracket = (1 - 10 * (RR - 1), 1 - (RR - 1) / 100)
+            root = mpmath.findroot(lambda L: _mp_phi(L, RR), bracket, solver="illinois")
+        assert abs(l_of_r(R) - float(root)) <= 1e-14
+
     def test_domain(self):
         with pytest.raises(DomainError):
             l_of_r(0.99)
+        with pytest.raises(DomainError):
+            l_of_r(1.0)
         with pytest.raises(DomainError):
             l_of_r(2.0)
 
@@ -332,7 +381,7 @@ class TestPeriodize:
 
     # kinds III and II; at (1.005, 0.1) no sign change lies below lam*L (it is
     # at lam*L), at (1.005, 0.005) the density crosses 0 by a jump at a panel
-    # edge, and at (1.06, 0.5) the compression is off the lattice sum by 4.6e-8
+    # edge, and at (1.06, 0.5) lam L and 1 - lam R lie 8.1e-7 apart
     RING_CASES = [(R, lam) for R in (1.005, 1.06, 1.4, 1.75, 2.0, 2.5)
                   for lam in (0.005, 0.1, 0.3, 0.5)] + [(1.3, 0.17), (2.2, 0.04)]
 
@@ -382,6 +431,41 @@ class TestPeriodize:
         dens = periodize(mu).density
         xs = rng.uniform(-0.5, 0.5, 40)
         assert np.allclose(dens.evaluate(xs), dens.evaluate_direct(xs), atol=1e-9)
+
+    # kinks 8.1e-7 apart at +-0.47 (1.06, 0.5) and 5e-5 apart next to the
+    # origin (1.005, 0.005), kind II, kind I, and the largest lam R the lambda
+    # gate admits (1.32, 0.5)
+    EXACT_CASES = [(1.06, 0.5), (1.005, 0.005), (2.2, 0.12), (None, 0.3), (1.32, 0.5)]
+
+    @pytest.mark.parametrize("R, lam", EXACT_CASES)
+    def test_matches_lattice_sum_at_kinks(self, R, lam):
+        dens = PeriodizedDensity(make_admissible(R, lam))
+        kinks = np.array([lo for lo, _ in dens.pieces()])
+        xs = np.concatenate([np.linspace(-0.5, 0.5, 4001)]
+                            + [kinks + d for d in (-1e-9, -1e-12, 1e-12, 1e-9)])
+        assert np.max(np.abs(dens.evaluate(xs) - dens.evaluate_direct(xs))) <= 1e-13
+
+    @pytest.mark.parametrize("R, lam", EXACT_CASES)
+    def test_matches_mpmath_lattice_sum(self, R, lam):
+        mu = make_admissible(R, lam)
+        dens = PeriodizedDensity(mu)
+        # 1e-9 from a kink the float density alone rounds to about 1e-12 (u^2 - R^2
+        # cancels), so the point next to the outer kink sits 1e-3 away
+        xs = np.array([-0.4321, -0.1234, 0.0321, 0.2468, max(mu.support_edges()) + 1e-3])
+        want = [mpmath_periodized(mu, x) for x in xs]
+        assert np.max(np.abs(dens.evaluate(xs) - want)) <= 1e-13
+
+    def test_work_per_point(self, monkeypatch):
+        mu = make_admissible(1.4, 0.1)
+        seen = []
+        line = measures.admissible_density_line
+        monkeypatch.setattr(measures, "admissible_density_line",
+                            lambda m, t: seen.append(np.size(t)) or line(m, t))
+        dens = PeriodizedDensity(mu)
+        assert sum(seen) == 798 * 24  # the translates 2 <= |j| <= 400 at the 24 fit nodes
+        seen.clear()
+        dens.evaluate(np.linspace(-0.5, 0.5, 1001))
+        assert sum(seen) == 3 * 1001  # the translates j = -1, 0, 1 at each point
 
 
 class TestTable:

@@ -14,7 +14,7 @@ from golden_modulus import golden_min
 from etlab import kernels, measures
 from etlab._search import bisect
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
-from etlab.errors import DomainError, EmptyMeasure, ZeroDiscrepancy
+from etlab.errors import DomainError, EmptyMeasure, LambdaTooLarge, ZeroDiscrepancy
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.measures import (
     AdmissibleDistR,
@@ -613,6 +613,14 @@ class TestSerialization:
         rho2 = measure_from_json(doc)
         xs = np.linspace(-0.5, 0.5, 64)
         assert np.allclose(rho2.density_eval(xs), rho.density_eval(xs), atol=1e-7)
+
+    @pytest.mark.parametrize("kind, lam, R, L", [("I", 1.2, None, None), ("II", 0.6, 2.0, None),
+                                                 ("II", 0.4, 2.0, None), ("III", 0.55, 1.4, 0.5)])
+    def test_periodized_outside_the_lambda_gate(self, kind, lam, R, L):
+        # the near translates j = -1, 0, 1 carry every kink only within the gate
+        with pytest.raises(LambdaTooLarge):
+            measure_from_json({"diracs": [], "family": {
+                "tag": "Periodized", "params": {"kind": kind, "lambda": lam, "R": R, "L": L}}})
 
 
 class TestDensityFamilies:
