@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect
-from .errors import AtDirac, DomainError
+from .errors import AtDirac, DomainError, LambdaTooLarge
 from .measures import (
     AdmissibleDistR,
     MixedMeasureT,
@@ -96,16 +96,17 @@ def r_critical() -> float:
 
 
 def l_of_r(R: float) -> float:
-    """The unique L in (0, 1) with phi(L, R) = 0, for 1 < R < r_critical().
+    """The unique L in (0, 1) with phi(L, R) = 0, for 1 + 1e-13 <= R < r_critical().
 
     Bisection to ``_L_TOL`` (1e-14) is valid because phi is strictly increasing in L;
     phi(0, R) < 0 below the critical radius and phi(L, R) -> positive as L -> 1.
     The root lies near 1 - (R - 1) as R falls to 1, below the bracket's upper
-    end 1 - min(1e-6, (R - 1)/2).
+    end 1 - min(1e-6, (R - 1)/2).  Closer to 1 the root is a few hundred ulps
+    below 1, where phi's quadrature meets non-finite values, so such R raise.
     """
     rc = r_critical()
-    if not (1.0 < R < rc):
-        raise DomainError(f"need 1 < R < {rc:.6f}, got R={R}")
+    if not (1.0 + 1e-13 <= R < rc):
+        raise DomainError(f"need 1 + 1e-13 <= R < {rc:.6f}, got R={R}")
     lo, hi = 0.0, 1.0 - min(1e-6, 0.5 * (R - 1.0))
     flo = phi(lo, R)
     fhi = phi(hi, R)
@@ -170,8 +171,7 @@ def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
     The result is 1 + (lattice sum of the scaled density) plus the wrapped
     Dirac masses: lam * delta_0 for kind I, lam*m at +-lam otherwise.  The
     scaling factor must satisfy lam <= 1 (kind I) or lam <= 1/2 with
-    lam*m < 1/2 (kinds II/III); ``PeriodizedDensity`` raises
-    ``LambdaTooLarge`` otherwise.
+    lam*m < 1/2 (kinds II/III).
 
     For kinds II/III ``meta`` holds the ring radii, sign changes of the
     density that ``measures._crossings`` reads off the result's own fixed
@@ -179,6 +179,14 @@ def periodize(mu: AdmissibleDistR) -> MixedMeasureT:
     nearest lam*L (kind III, density >= 0 at 0), ``r_ring`` in (lam, 1/2]
     nearest lam*R (lam*R < 1/2, density >= 0 at 1/2); else None.
     """
+    if mu.kind == "I":
+        if mu.lam > 1.0:
+            raise LambdaTooLarge(f"kind I needs lam <= 1, got {mu.lam}")
+    else:
+        if mu.lam > 0.5 or mu.lam * mu.m >= 0.5:
+            raise LambdaTooLarge(
+                f"kinds II/III need lam <= 1/2 and lam*m < 1/2, got lam={mu.lam}, "
+                f"lam*m={mu.lam * mu.m}")
     rho = MixedMeasureT(diracs=tuple(mu.dirac_positions_masses()),
                         density=PeriodizedDensity(mu))
     if mu.kind != "I":

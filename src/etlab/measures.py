@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect, sample_min
-from .errors import DomainError, EmptyMeasure, LambdaTooLarge, ZeroDiscrepancy
+from .errors import DomainError, EmptyMeasure, ZeroDiscrepancy
 from .kernels import kernel_T
 
 __all__ = [
@@ -585,10 +585,9 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _LATTICE_J = 400  # translates summed; the polygamma tail restores the rest
-# The translates |j| >= 2 are analytic on [-1/2, 1/2]: their nearest kink,
-# 2 - lam R, lies at least 1.339 from the centre (lam R <= 0.661 under the
-# lambda gate, at R = 1.32, lam = 1/2), so their Chebyshev interpolant converges
-# like 5.16**-n, its Bernstein ellipse (Trefethen, ATAP ch. 8): 8e-18 at 24.
+# The far translates are analytic on [-1/2, 1/2] with their nearest kink at
+# least 4/3 from the centre, so their Chebyshev interpolant converges like
+# 5.14**-n, its Bernstein ellipse (Trefethen, ATAP ch. 8): 9e-18 at 24.
 _FAR_NODES = 24
 
 
@@ -596,7 +595,7 @@ def _lattice_sum(mu: AdmissibleDistR, xs: np.ndarray, shifts: np.ndarray) -> np.
     """sum of mu(x - j) over the shifts j at each x, in blocks of about
     ``_BLOCK_DOUBLES`` terms."""
     out = np.empty(xs.size)
-    block = max(1, _BLOCK_DOUBLES // shifts.size)
+    block = max(1, _BLOCK_DOUBLES // max(1, shifts.size))
     for i in range(0, xs.size, block):
         out[i:i + block] = admissible_density_line(mu, xs[i:i + block, None] - shifts).sum(axis=1)
     return out
@@ -613,23 +612,23 @@ def _lattice_tail(mu: AdmissibleDistR, xs: np.ndarray) -> np.ndarray:
 
 
 class PeriodizedDensity:
-    """1 + sum_j mu(x - j) for an admissible line distribution (Diracs
-    excluded), with lam <= 1 (kind I) or lam <= 1/2 and lam*m < 1/2.
+    """1 + sum_j mu(x - j) for an admissible line distribution (Diracs excluded).
 
-    At x in [-1/2, 1/2) the translates j = -1, 0, 1, which carry every kink
-    on the circle, are summed; the rest are analytic there and come from one
-    Chebyshev interpolant, fitted once per measure from the sum over
-    2 <= |j| <= 400 and its tail.  ``evaluate_direct`` sums |j| <= 400 and the tail.
+    At x in [-1/2, 1/2) the translates |j| <= n are summed, n = ceil(E + 1/3)
+    for the outer support edge E (n = 1 within the lambda gate of ``periodize``,
+    where E <= 0.661): the rest have every kink at least 4/3 from the centre and
+    come from one Chebyshev interpolant, fitted once per measure from the sum
+    over n < |j| <= 400 and its tail.  ``evaluate_direct`` sums |j| <= 400 and the tail.
     """
 
     def __init__(self, mu: AdmissibleDistR):
-        if mu.lam > 1.0 or mu.kind != "I" and (mu.lam > 0.5 or mu.lam * mu.m >= 0.5):
-            raise LambdaTooLarge(f"need lam <= 1 (kind I) or lam <= 1/2 and lam*m < 1/2: {mu}")
         self.mu = mu
         kinks = sorted({canonical_angle(s * e) for e in mu.support_edges() for s in (1, -1)})
         self._arcs = [(lo, hi) for lo, hi in zip(kinks, kinks[1:] + [kinks[0] + 1.0])
                       if hi - lo > 1e-13]
-        far = np.arange(2, _LATTICE_J + 1)
+        n = math.ceil(min(max(mu.support_edges()) + 1.0 / 3.0, _LATTICE_J))
+        self._near = np.arange(-n, n + 1.0)
+        far = np.arange(n + 1, _LATTICE_J + 1)
         nodes = 0.5 * _cheb_nodes(_FAR_NODES)
         self._far = _cheb_fit(_lattice_sum(mu, nodes, np.concatenate((-far[::-1], far)))
                               + _lattice_tail(mu, nodes))
@@ -641,7 +640,7 @@ class PeriodizedDensity:
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.atleast_1d(_canonical_array(x))
-        return 1.0 + _lattice_sum(self.mu, xs, np.array([-1.0, 0.0, 1.0])) \
+        return 1.0 + _lattice_sum(self.mu, xs, self._near) \
             + np.polynomial.chebyshev.chebval(2.0 * xs, self._far)
 
     def pieces(self) -> list[tuple[float, float]]:

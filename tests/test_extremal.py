@@ -220,7 +220,7 @@ class TestCurve:
             assert 0.0 < L < 1e-5
             assert abs(mpmath_phi(L, R)) <= 1e-12
 
-    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 1e-10])
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 1e-10, 1.0 + 1e-13])
     def test_root_next_to_the_pole(self, R):
         # 1 - L(R) is about R - 1 here, so the root lies above 1 - 1e-6; the
         # 30-digit root is found between 1 - 10 (R - 1) and 1 - (R - 1)/100.
@@ -238,6 +238,14 @@ class TestCurve:
             l_of_r(1.0)
         with pytest.raises(DomainError):
             l_of_r(2.0)
+
+    @pytest.mark.parametrize("R", [math.nextafter(1.0, 2.0), 1.0 + 1e-15, 1.0 + 1e-14, 1.0 + 9e-14])
+    def test_below_the_resolved_range(self, R):
+        # the root would lie within a few hundred ulps of 1, where phi is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="1e-13"):
+                l_of_r(R)
 
 
 class TestMakeAdmissible:

@@ -14,7 +14,7 @@ from golden_modulus import golden_min
 from etlab import kernels, measures
 from etlab._search import bisect
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
-from etlab.errors import DomainError, EmptyMeasure, LambdaTooLarge, ZeroDiscrepancy
+from etlab.errors import DomainError, EmptyMeasure, ZeroDiscrepancy
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
 from etlab.measures import (
     AdmissibleDistR,
@@ -614,13 +614,21 @@ class TestSerialization:
         xs = np.linspace(-0.5, 0.5, 64)
         assert np.allclose(rho2.density_eval(xs), rho.density_eval(xs), atol=1e-7)
 
-    @pytest.mark.parametrize("kind, lam, R, L", [("I", 1.2, None, None), ("II", 0.6, 2.0, None),
-                                                 ("II", 0.4, 2.0, None), ("III", 0.55, 1.4, 0.5)])
+    @pytest.mark.parametrize("kind, lam, R, L", [
+        ("I", 1.2, None, None), ("II", 0.6, 2.0, None), ("II", 0.4, 2.0, None),
+        ("III", 0.55, 1.4, 0.5), ("III", 0.5, 2.9, 0.999), ("III", 0.5, 3.6, 0.9999),
+        ("I", 2000.0, None, None)])
     def test_periodized_outside_the_lambda_gate(self, kind, lam, R, L):
-        # the near translates j = -1, 0, 1 carry every kink only within the gate
-        with pytest.raises(LambdaTooLarge):
-            measure_from_json({"diracs": [], "family": {
-                "tag": "Periodized", "params": {"kind": kind, "lambda": lam, "R": R, "L": L}}})
+        # off the admissibility curve or past periodize's gate lam R reaches 1.8,
+        # so translates |j| >= 2 carry kinks on the circle and are summed too;
+        # at lam = 2000 all of |j| <= 400 are, and only the tail is interpolated
+        dens = measure_from_json({"diracs": [], "family": {
+            "tag": "Periodized", "params": {"kind": kind, "lambda": lam, "R": R, "L": L}}}).density
+        kinks = np.array([lo for lo, _ in dens.pieces()])
+        xs = np.concatenate([np.linspace(-0.5, 0.5, 4001)]
+                            + [kinks + d for d in (-1e-9, -1e-12, 1e-12, 1e-9)])
+        want = dens.evaluate_direct(xs)
+        assert np.max(np.abs(dens.evaluate(xs) - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
 
 
 class TestDensityFamilies:
