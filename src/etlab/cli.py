@@ -25,18 +25,8 @@ import sys
 
 import numpy as np
 
-
-def _thread_cap() -> None:
-    cap = os.environ.get("ET_LAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_thread_cap()
-
-from . import discretize, extremal, harmonic, measures, polynomials, sediment  # noqa: E402
-from .errors import EtLabError  # noqa: E402
+from . import discretize, extremal, harmonic, measures, polynomials, sediment
+from .errors import EtLabError
 
 
 def _print_json(obj, precision: int, summary: str | None = None) -> None:
@@ -129,14 +119,12 @@ def _cmd_extremal(args) -> int:
     if args.emit_density:
         span = 2.0 * (mu.R or 1.0) * mu.lam + 1.0
         xs = np.linspace(-span, span, 2001)
-        dirac_pos = [p for p, _ in mu.dirac_positions_masses()]
+        for p, _ in mu.dirac_positions_masses():
+            xs = xs[np.abs(xs - p) >= 1e-12]
         with open(args.emit_density, "w") as fh:
             fh.write("x,density\n")
-            for x in xs:
-                if any(abs(x - p) < 1e-12 for p in dirac_pos):
-                    continue
-                fh.write(f"{x:.{args.precision}g},"
-                         f"{extremal.density_R(mu, float(x)):.{args.precision}g}\n")
+            for x, value in zip(xs, measures.admissible_density_line(mu, xs)):
+                fh.write(f"{x:.{args.precision}g},{value:.{args.precision}g}\n")
     return 0
 
 

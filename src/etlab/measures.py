@@ -584,7 +584,7 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
 # Periodization density (near translates summed, far lattice interpolated)
 # ---------------------------------------------------------------------------
 
-_LATTICE_J = 400  # translates summed; the polygamma tail restores the rest
+_LATTICE_J = 400  # translates summed; the Bernoulli-series tail restores the rest
 # The far translates are analytic on [-1/2, 1/2] with their nearest kink at
 # least 4/3 from the centre, so their Chebyshev interpolant converges like
 # 5.14**-n, its Bernstein ellipse (Trefethen, ATAP ch. 8): 9e-18 at 24.
@@ -603,12 +603,14 @@ def _lattice_sum(mu: AdmissibleDistR, xs: np.ndarray, shifts: np.ndarray) -> np.
 
 def _lattice_tail(mu: AdmissibleDistR, xs: np.ndarray) -> np.ndarray:
     """sum of mu(x - j) over |j| > _LATTICE_J from mu(t) ~ c lam^2/t^2 +
-    d lam^4/t^4, by sum_{k >= 0} (z + k)^-(n+1) = (-1)^(n+1) psi^(n)(z) / n!."""
-    from scipy.special import polygamma  # deferred: scipy is slow to import
-
+    d lam^4/t^4, by the large-z Bernoulli series of sum_{k >= 0} (z + k)^-2 and
+    sum_{k >= 0} (z + k)^-4 in w = 1/z (DLMF 5.15.8)."""
+    # Needs z >= 400.5: there the first dropped terms, w^7/42 and 2 w^9/9, are
+    # below 2e-16 of their sums.
     c, d = mu.tail_coefficients()
-    return sum(c * mu.lam**2 * polygamma(1, z) + d * mu.lam**4 * polygamma(3, z) / 6.0
-               for z in (_LATTICE_J + 1.0 + xs, _LATTICE_J + 1.0 - xs))
+    return sum(c * mu.lam**2 * w * (1.0 + w * (1 / 2 + w * (1 / 6 - w * w / 30)))
+               + d * mu.lam**4 * w**3 * (1 / 3 + w * (1 / 2 + w * (1 / 3 - w * w / 6)))
+               for w in (1.0 / (_LATTICE_J + 1.0 + xs), 1.0 / (_LATTICE_J + 1.0 - xs)))
 
 
 class PeriodizedDensity:

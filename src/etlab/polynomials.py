@@ -268,7 +268,9 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
 
 def _power_sums(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p(x), p'(x), sum |a_k| |x|^k) for p = sum a_k x^k at |x| <= 1, from
-    row blocks of the power table x^k of about ``_BLOCK_DOUBLES`` doubles."""
+    row blocks of the power table x^k of about ``_BLOCK_DOUBLES`` doubles.
+    The products are einsum's, not BLAS's: with BLAS's own threads and the
+    other of two cores busy, a degree-1024 solve took 0.52-0.73 s against 0.15-0.23 s."""
     n = a.size - 1
     da, abs_a = a[1:] * np.arange(1, n + 1), np.abs(a)
     p, dp, bound = np.empty_like(x), np.empty_like(x), np.empty(x.size)
@@ -277,11 +279,11 @@ def _power_sums(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         xb = x[i:i + rows, None]
         pw = np.ones((xb.size, a.size), dtype=complex)
         np.cumprod(np.broadcast_to(xb, (xb.size, n)), axis=1, out=pw[:, 1:])
-        p[i:i + rows] = pw @ a
-        dp[i:i + rows] = pw[:, :-1] @ da
+        p[i:i + rows] = np.einsum("ij,j->i", pw, a)
+        dp[i:i + rows] = np.einsum("ij,j->i", pw[:, :-1], da)
         apw = np.ones((xb.size, a.size))
         np.cumprod(np.broadcast_to(np.abs(xb), (xb.size, n)), axis=1, out=apw[:, 1:])
-        bound[i:i + rows] = apw @ abs_a
+        bound[i:i + rows] = np.einsum("ij,j->i", apw, abs_a)
     return p, dp, bound
 
 

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from etlab import extremal, measures
 from etlab.cli import _print_json, run
 
 
@@ -162,18 +167,22 @@ class TestExtremalCmd:
         assert err.startswith("error: ") and flag in err
 
     def test_density_csv_roundtrip(self, capsys, tmp_path):
-        target = tmp_path / "density.csv"
-        code, _, _ = invoke(capsys, "extremal", "--kind", "2", "--R", "2.0",
-                            "--emit-density", str(target))
-        assert code == 0
-        lines = target.read_text().strip().split("\n")
-        assert lines[0] == "x,density"
-        xs, vals = zip(*((float(a), float(b)) for a, b in
-                         (ln.split(",") for ln in lines[1:])))
         from etlab.measures import AdmissibleDistR, admissible_density_line
-        mu = AdmissibleDistR("II", 1.0, 2.0)
-        recomputed = admissible_density_line(mu, np.array(xs))
-        assert np.allclose(recomputed, np.array(vals), atol=1e-5)
+        # 2,001 grid points on [-span, span]; kind II's Diracs at -1 and 1 and
+        # kind I's at 0 lie on the grid and are left out
+        cases = [(("--kind", "2", "--R", "2.0"), AdmissibleDistR("II", 1.0, 2.0), 1999),
+                 (("--kind", "1"), AdmissibleDistR("I", 1.0), 2000)]
+        for argv, mu, rows in cases:
+            target = tmp_path / "density.csv"
+            code, _, _ = invoke(capsys, "extremal", *argv, "--emit-density", str(target))
+            assert code == 0
+            lines = target.read_text().strip().split("\n")
+            assert lines[0] == "x,density" and len(lines) == 1 + rows
+            xs, vals = zip(*((float(a), float(b)) for a, b in
+                             (ln.split(",") for ln in lines[1:])))
+            assert min(abs(x - p) for x in xs for p, _ in mu.dirac_positions_masses()) > 1e-3
+            recomputed = admissible_density_line(mu, np.array(xs))
+            assert np.allclose(recomputed, np.array(vals), atol=1e-5)
 
 
 class TestSharpnessCmd:
@@ -429,3 +438,40 @@ class TestDocumentFuzz:
     @given(doc=MEASURE_DOCS)
     def test_ganelius_measure(self, tmp_path, capsys, doc):
         self.run_doc(tmp_path, capsys, "ganelius", doc, "--grid-n", "256")
+
+
+NO_SCIPY = """
+import json, sys
+from etlab import measures
+from etlab.cli import run
+from etlab.extremal import make_admissible, periodize
+rho = periodize(make_admissible(1.4, 0.1))
+measures.height_T(rho, 256)
+measures.discrepancy_mixed(rho)
+path = sys.argv[1]
+with open(path) as fh:
+    measures.measure_from_json(json.load(fh))
+codes = [run(["periodize", "--R", "1.4", "--lambda", "0.1"]), run(["ganelius", path])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_periodized_measures_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: building, reading and checking a
+    # periodized measure loads no scipy module.  ganelius samples the
+    # document's density and then exits 2, since without its Diracs the
+    # density dips below 0.
+    mu = measures.AdmissibleDistR("III", 0.1, 1.4, extremal.l_of_r(1.4))
+    doc = {"diracs": [], "family": {"tag": "Periodized", "params": {
+        "kind": mu.kind, "lambda": mu.lam, "R": mu.R, "L": mu.L}}}
+    path = tmp_path / "periodized.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().split("\n")[-1])
+    assert result == {"codes": [0, 2], "scipy": []}

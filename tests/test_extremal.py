@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 import graded_quadrature as graded
 from etlab import kernels, measures
@@ -474,6 +475,28 @@ class TestPeriodize:
         seen.clear()
         dens.evaluate(np.linspace(-0.5, 0.5, 1001))
         assert sum(seen) == 3 * 1001  # the translates j = -1, 0, 1 at each point
+
+    @pytest.mark.parametrize("R, lam", [(None, 0.3), (2.2, 0.12), (1.06, 0.5)])
+    @pytest.mark.parametrize("coefficients", [None, (1.0, 0.0), (0.0, 1.0)])
+    def test_lattice_tail(self, R, lam, coefficients, monkeypatch):
+        # z = 401 +- x runs over [400.5, 401.5]; oracles: the polygamma form
+        # sum_{k >= 0} (z + k)^-(n+1) = (-1)^(n+1) psi^(n)(z) / n! and 40-digit
+        # zeta.  The measure's own (c, d), then each series alone: the 1/t^4
+        # term is about 1e-6 of the whole.
+        mu = make_admissible(R, lam)
+        if coefficients is not None:
+            monkeypatch.setattr(AdmissibleDistR, "tail_coefficients", lambda self: coefficients)
+        c, d = mu.tail_coefficients()
+        J, xs = measures._LATTICE_J, np.linspace(-0.5, 0.5, 201)
+        got = measures._lattice_tail(mu, xs)
+        by_polygamma = sum(c * lam**2 * polygamma(1, z) + d * lam**4 * polygamma(3, z) / 6.0
+                           for z in (J + 1.0 + xs, J + 1.0 - xs))
+        with mpmath.workdps(40):
+            by_zeta = np.array([float(sum(
+                c * lam**2 * mpmath.zeta(2, z) + d * lam**4 * mpmath.zeta(4, z)
+                for z in (J + 1 + mpmath.mpf(x), J + 1 - mpmath.mpf(x)))) for x in xs])
+        for want in (by_polygamma, by_zeta):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
 
 
 class TestTable:
