@@ -15,7 +15,10 @@ each side's median, quartiles and extremes, the number of pairs the change
 won (ties count for neither side), the ratio of the medians, change over
 parent, the parent's quartile spread and a verdict (see ``_verdict``); each
 workload also records each side's failed share of its items, and in
-``same_outputs`` how many pairs gave the same output digest on both sides.  With
+``same_outputs`` how many pairs gave the same output digest on both sides.
+Beside its metrics, every run records the minor page faults and the system
+CPU seconds of its processes (``minor_faults``, ``sys_s``), which decide no
+verdict.  With
 --trace-seed, each workload also runs once per side with --trace 1, and
 every per-layer metric of both sides is kept.
 The file is rewritten after every pair, so an interrupted run keeps what it
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -40,17 +44,24 @@ class RunFailed(Exception):
     pass
 
 
-def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """The (detail, result) lines of one run of perfbench/run.py in ``side``."""
+def _run(side: Path, workload: str, seed: int, seconds: float,
+         trace: int) -> tuple[dict, dict, dict]:
+    """The (detail, result) lines of one run of perfbench/run.py in ``side``,
+    and the minor faults and system seconds of the run's processes: the
+    growth of this process's waited-for children's usage over the run."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=side, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RunFailed(f"{side}: {workload} seed {seed} exited {proc.returncode}:\n"
                         f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-2])["detail"], json.loads(lines[-1])
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
+             "sys_s": after.ru_stime - before.ru_stime}
+    return json.loads(lines[-2])["detail"], json.loads(lines[-1]), usage
 
 
 def _stats(values: list[float]) -> dict:
@@ -144,11 +155,11 @@ def main() -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    detail, res = _run(sides[side], workload, first + i, seconds, 0)
+                    detail, res, usage = _run(sides[side], workload, first + i, seconds, 0)
                     runs[side].append({
                         "seed": first + i, "correct": res["correct"], "failed": res["failed"],
                         "attempted": res["attempted"], "digest": detail["digest"][:16],
-                        **{name: res["metrics"][name]["value"] for name in metrics}})
+                        **{name: res["metrics"][name]["value"] for name in metrics}, **usage})
                 doc["end_to_end"][workload] = {"summary": _summary(runs, metrics),
                                                "failed_share": _failed_share(runs),
                                                "same_outputs": _same_outputs(runs), "runs": runs}
@@ -158,7 +169,7 @@ def main() -> int:
             if args.trace_seed is not None:
                 traced = {}
                 for side in ("parent", "change"):
-                    detail, res = _run(sides[side], workload, args.trace_seed, seconds, 1)
+                    detail, res, _ = _run(sides[side], workload, args.trace_seed, seconds, 1)
                     traced[side] = {**{k: res[k] for k in ("correct", "attempted", "failed")},
                                     "metrics": {k: v["value"] for k, v in res["metrics"].items()}}
                 traced["machine"] = detail["machine"]

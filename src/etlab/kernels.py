@@ -66,12 +66,19 @@ def kernel_T(x):
     """Circle kernel -log|2 sin(pi x)|; +inf on the integer lattice.
 
     Accepts scalars or arrays; the argument is reduced mod 1 first, so
-    lattice points map to +inf exactly.
+    lattice points map to +inf exactly.  Every step works in place in the
+    one array it allocates, and the argument is never written.
     """
     raw = np.asarray(x, dtype=float)
-    arr = raw - np.rint(raw)  # exactly odd-symmetric reduction to [-1/2, 1/2]
+    out = np.rint(raw, out=np.empty(raw.shape))
+    np.subtract(raw, out, out=out)  # exactly odd-symmetric reduction to [-1/2, 1/2]
+    out *= np.pi
+    np.sin(out, out=out)
+    np.abs(out, out=out)
+    out *= 2.0
     with np.errstate(divide="ignore"):
-        out = -np.log(np.abs(2.0 * np.sin(np.pi * arr)))
+        np.log(out, out=out)
+    np.negative(out, out=out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -72,13 +72,17 @@ Angle = float  # a point of R/Z, stored canonically in [-1/2, 1/2)
 
 
 def canonical_angle(x: float) -> float:
-    """Reduce mod 1 to the representative in [-1/2, 1/2).  Idempotent."""
-    y = (float(x) + 0.5) % 1.0 - 0.5
+    """Reduce mod 1 to the representative in [-1/2, 1/2).  Idempotent: an
+    angle already there comes back unchanged, not rounded through x + 1/2."""
+    y = float(x)
+    if not -0.5 <= y < 0.5:
+        y = (y + 0.5) % 1.0 - 0.5
     return 0.0 if y == 0.0 else y  # normalize -0.0
 
 
 def _canonical_array(x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= -0.5) & (x < 0.5), x + 0.0, (x + 0.5) % 1.0 - 0.5)  # + 0.0: no -0.0
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,9 @@ class EmpiricalMeasure:
         The atoms of the target's box and its two neighbours are summed
         exactly; all other boxes reach it through a Chebyshev far field built
         once per measure (``_BoxField``), to within about 1e-15 of the plain
-        kernel sum.  The near pairs go in blocks and the far field is
-        interpolated by Clenshaw's recurrence, so the temporaries are a few
-        doubles per target.
+        kernel sum.  The near pairs go in blocks of contiguous windows and the
+        far field is interpolated by Clenshaw's recurrence, so the
+        temporaries are a few doubles per target.
         """
         xs = np.asarray(x, dtype=float)
         out = self._box_field(xs.ravel())
@@ -170,7 +174,12 @@ class EmpiricalMeasure:
 
     @cached_property
     def _box_field(self) -> "_BoxField":
-        return _BoxField.build(self.angles, self.weights)
+        field = _BoxField.build(self.angles, self.weights)
+        # the atoms become the first n entries of the field's wrapped copy,
+        # equal to them, so that a set of atoms is stored once
+        object.__setattr__(self, "angles", field.angles)
+        object.__setattr__(self, "weights", field.weights)
+        return field
 
 
 # The kernel sum over weighted points (the atoms of an empirical measure, the
@@ -185,8 +194,15 @@ class EmpiricalMeasure:
 # the target interpolates from the nodes of its own box.  With B <= 2 no box
 # is far and the sum is exact.  A far pair is at least one box width apart, so
 # interpolation in each variable converges like (3 + sqrt 8)**-p: 5e-16 at
-# p = 20.  Every blocked kernel evaluation takes blocks of _BLOCK_DOUBLES
-# (128 KiB, glibc's default mmap threshold), which reuse heap memory.
+# p = 20.  Every blocked kernel evaluation takes blocks of about _BLOCK_DOUBLES
+# pairs.  Smaller blocks would pay the Python overhead of a block's dozen numpy
+# calls more often: 2**12 made a sharpness_chain pass about 10% slower.  At
+# 2**14 a block's arrays are near 128 KiB, glibc's default mmap and trim
+# threshold.  With that threshold fixed (MALLOC_MMAP_THRESHOLD_=131072, as
+# perfbench runs), they are mapped or trimmed and faulted in afresh, block
+# after block.  A sharpness_chain pass makes about 10,000 minor faults so,
+# where the near pass with per-pair modulo, bincount and an out-of-place
+# kernel made about 33,000; under glibc's sliding threshold it makes a handful.
 _BOX_ATOMS = 16
 _CHEB_NODES = 20
 _BLOCK_DOUBLES = 2**14
@@ -243,13 +259,17 @@ class _BoxField:
 
     angles: np.ndarray    # ascending, in [-1/2, 1/2)
     weights: np.ndarray   # one weight per point
+    wrapped_angles: np.ndarray   # the angles, then the first K again: every
+    wrapped_weights: np.ndarray  # window lo, ..., lo + len - 1 is one slice
     n_boxes: int
     near_lo: np.ndarray   # index of the first point of boxes b - 1, b, b + 1
     near_len: np.ndarray  # their point count, at most the number of points
     coef: np.ndarray      # coef[j, b]: degree-j Chebyshev coefficient of the far field in box b
 
     @classmethod
-    def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
+    def build(cls, angles: np.ndarray, weights: np.ndarray, reach: int = 0) -> "_BoxField":
+        """The field of the points; ``reach`` is the longest range of points
+        a call will skip."""
         n = weights.size
         n_boxes = 1 << max(0, (n // _BOX_ATOMS).bit_length() - 1)
         s = (angles + 0.5) * n_boxes
@@ -257,6 +277,7 @@ class _BoxField:
         start = np.searchsorted(box, np.arange(n_boxes + 1))
         count = np.diff(start)
         prev, nxt = np.roll(np.arange(n_boxes), 1), np.roll(np.arange(n_boxes), -1)
+        near_lo, near_len = start[prev], np.minimum(n, count[prev] + count + count[nxt])
         # moments[b, j, 0] = sum of weights T_j(u) over the points of box b,
         # one degree at a time so the temporaries stay the size of the set
         # (T_{-1} = T_1 = u starts the recurrence at T_0 = 1)
@@ -270,50 +291,73 @@ class _BoxField:
         # the far field at the nodes of each box
         at_nodes = np.fft.irfft(_far_transfer(n_boxes) @ np.fft.rfft(_CHEB_FIT.T @ moments, axis=0),
                                 n=n_boxes, axis=0)
-        return cls(angles, weights, n_boxes, start[prev],
-                   np.minimum(n, count[prev] + count + count[nxt]),
+        wrap = np.arange(n + max(reach, int(np.max(near_lo + near_len)) - n))
+        wrapped_angles = np.take(angles, wrap, mode="wrap")
+        wrapped_weights = np.take(weights, wrap, mode="wrap")
+        return cls(wrapped_angles[:n], wrapped_weights[:n], wrapped_angles, wrapped_weights,
+                   n_boxes, near_lo, near_len,
                    np.ascontiguousarray((_CHEB_FIT @ at_nodes)[:, :, 0].T))
 
     def __call__(self, xs: np.ndarray, skip=None) -> np.ndarray:
         """sum_i weights[i] W(x - angles[i]) at each x, over every point but
         lo, ..., lo + length - 1 (mod n) for ``skip`` = (lo, length), one
-        range per target."""
+        range per target, length at most the ``reach`` of ``build``."""
         s = (xs + 0.5) % 1.0 * self.n_boxes  # in [0, B) for finite x
         box = np.nan_to_num(s).astype(np.int64)
         near = (self.near_lo[box], self.near_len[box])
-        out = _near_sum(self.angles, self.weights, xs, *near, skip) \
-            + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
-        if skip is not None:  # take back the skipped points of the far field
-            out -= _near_sum(self.angles, self.weights, xs, *skip, near)
+        # the far field goes after the near sums: computed first, it left a
+        # sharpness_chain run's peak RSS 0.3 MB higher under a fixed mmap threshold
+        if skip is None:
+            return self._window_sums(xs, *near) + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
+        # the near window less the skipped points, and the skipped points
+        # off the window, whose share of the far field is taken back: up to
+        # two ranges each, the four of a target side by side
+        n = self.angles.size
+        lo, length = np.stack(_range_minus(near, skip, n) + _range_minus(skip, near, n), axis=-1)
+        sums = self._window_sums(np.repeat(xs, 4), lo.ravel(), length.ravel()).reshape(-1, 4)
+        return (sums[:, 0] + sums[:, 1] + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
+                - (sums[:, 2] + sums[:, 3]))
+
+    def _window_sums(self, xs: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Exact kernel sum at each x over the points lo, ..., lo + length - 1
+        of the wrapped copy; 0 over an empty window.
+
+        Targets go through in blocks of about ``_BLOCK_DOUBLES`` pairs, a
+        target with a longer window in a block of its own: the differences of
+        a block in one array, one kernel call, and one segment sum per target.
+        """
+        out = np.zeros(xs.size)
+        ends = np.cumsum(length)
+        i = 0
+        while i < xs.size:
+            base = ends[i] - length[i]
+            j = max(i + 1, int(np.searchsorted(ends, base + _BLOCK_DOUBLES, side="right")))
+            size = length[i:j]
+            first = ends[i:j] - size - base  # each target's first pair in the block
+            if ends[j - 1] > base:
+                idx = np.repeat(lo[i:j] - first, size)
+                idx += np.arange(idx.size)
+                diff = np.repeat(xs[i:j], size)
+                diff -= self.wrapped_angles[idx]
+                pairs = kernel_T(diff)
+                # in range; mode 'raise' would gather into a buffer, not into diff
+                pairs *= np.take(self.wrapped_weights, idx, out=diff, mode="clip")
+                full = size > 0
+                out[i:j][full] = np.add.reduceat(pairs, first[full])
+            i = j
         return out
 
 
-def _near_sum(angles: np.ndarray, weights: np.ndarray, xs: np.ndarray,
-              lo: np.ndarray, length: np.ndarray, skip=None) -> np.ndarray:
-    """Exact kernel sum at each x over the points lo, ..., lo + length - 1
-    (indices mod the point count).  ``skip`` = (lo, length) per target names
-    points whose pairs are never formed.
-
-    Targets go through in blocks of about ``_BLOCK_DOUBLES`` pairs; a target
-    with a longer window takes a block of its own.
-    """
-    out = np.empty(xs.size)
-    ends = np.cumsum(length)
-    i = 0
-    while i < xs.size:
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - length[i] + _BLOCK_DOUBLES,
-                                           side="right")))
-        size = length[i:j]
-        first = np.cumsum(size) - size
-        idx = (np.arange(first[-1] + size[-1]) + np.repeat(lo[i:j] - first, size)) % angles.size
-        who = np.repeat(np.arange(j - i), size)
-        if skip is not None:
-            keep = (idx - skip[0][i:j][who]) % angles.size >= skip[1][i:j][who]
-            idx, who = idx[keep], who[keep]
-        out[i:j] = np.bincount(who, kernel_T(xs[i:j][who] - angles[idx]) * weights[idx],
-                               minlength=j - i)
-        i = j
-    return out
+def _range_minus(a, b, n: int):
+    """The points of the index ranges a = (lo, length) off the ranges b, one
+    of each per target (indices mod n, lengths at most n): two ranges (lo,
+    length) per target, inside a's unwrapped span."""
+    lo, length = a
+    start = (b[0] - lo) % n  # b from a's first point
+    stop = start + b[1]
+    head = np.maximum(stop - n, 0)  # b's part wrapped onto a's front
+    return [(lo + head, np.maximum(np.minimum(length, start) - head, 0)),
+            (lo + stop, np.maximum(length - stop, 0))]
 
 
 def _check_probability(rho: EmpiricalMeasure) -> None:
@@ -773,7 +817,7 @@ class _FixedNodes:
         # the nodes at or above 1/2 wrap to the front as y - 1, which is exact
         first = (y.size - int(np.searchsorted(y, 0.5))) % y.size
         ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
-        return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first)),
+        return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first), 3 * _PANEL_NODES),
                    rho.reshape(widths.size, _PANEL_NODES) @ fit, math.fsum(w_rho.tolist()))
 
     def _locate(self, t: np.ndarray):

@@ -1,6 +1,7 @@
 """The verdicts of ``scripts/bench_pairs.py`` on synthetic pairs of runs."""
 
 import importlib.util
+import mmap
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,24 @@ DIGESTS = [f"{k:016x}" for k in range(10)]
 def test_same_outputs_counts_pairs_with_equal_digests(change, equal):
     runs = {"parent": [{"digest": d} for d in DIGESTS], "change": [{"digest": d} for d in change]}
     assert bench_pairs._same_outputs(runs) == {"equal": equal, "pairs": 10}
+
+
+def test_run_records_the_minor_faults_and_system_time_of_its_processes(tmp_path):
+    """A stand-in perfbench/run.py that writes every page of a fresh 16 MiB
+    mapping, in pages of the base size: the run's minor faults count at
+    least those pages."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, mmap\n"
+        "buf = mmap.mmap(-1, 16 << 20)\n"
+        "if hasattr(mmap, 'MADV_NOHUGEPAGE'):\n"
+        "    buf.madvise(mmap.MADV_NOHUGEPAGE)\n"
+        "for k in range(0, len(buf), mmap.PAGESIZE):\n"
+        "    buf[k] = 1\n"
+        "print(json.dumps({'detail': {'digest': '0' * 64}}))\n"
+        "print(json.dumps({'correct': True, 'metrics': {}}))\n")
+    detail, res, usage = bench_pairs._run(tmp_path, "sharpness_chain", 1, 1.0, 0)
+    assert detail == {"digest": "0" * 64} and res["correct"]
+    assert set(usage) == {"minor_faults", "sys_s"}
+    assert usage["minor_faults"] >= (16 << 20) // mmap.PAGESIZE
+    assert usage["sys_s"] >= 0.0

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graded_quadrature as graded
@@ -45,11 +45,25 @@ from etlab.measures import (
 class TestAngles:
     @given(st.floats(min_value=-1e6, max_value=1e6,
                      allow_nan=False, allow_infinity=False))
+    @example(0.1)
+    @example(-0.3)
+    @example(1e-300)
+    @example(-0.0)
+    @example(float(np.nextafter(0.5, 0.0)))
+    @example(1.1)
     @settings(max_examples=300, deadline=None)
     def test_canonical_idempotent_and_in_range(self, x):
         y = canonical_angle(x)
         assert -0.5 <= y < 0.5
         assert canonical_angle(y) == y
+        if -0.5 <= x < 0.5:  # a canonical angle comes back unchanged
+            assert y == x
+        assert _canonical_array(np.array([x, y])).tolist() == [y, y]
+        assert math.copysign(1.0, y) == 1.0 or y != 0.0
+
+    def test_potential_is_infinite_at_an_atoms_own_angle(self):
+        assert EmpiricalMeasure(np.array([0.1]), np.array([1.0])).potential(0.1) == math.inf
+        assert MixedMeasureT(diracs=((0.1, 1.0),), density=None).potential(0.1) == math.inf
 
     def test_half_maps_down(self):
         assert canonical_angle(0.5) == -0.5

@@ -223,11 +223,19 @@ def _on_nodes(rho, step):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_node_path_matches_dense_sum(name):
     """At the grid, the kinks and panel edges, at every 37th fixed node
-    exactly, and at the nodes next to every panel edge: a target on a node is
-    finite, since the box field never pairs it with the nodes of its own
-    three panels."""
+    exactly, at the nodes next to every panel edge, and next to the seam and
+    the first kink, where the skipped panels cross the last node: a target on
+    a node is finite, since the box field never pairs it with the nodes of
+    its own three panels."""
     rho = FAMILIES[name]()
-    xs = np.concatenate((_targets(rho), _on_nodes(rho, 37)))
+    fixed = rho._fixed_nodes
+    seam = np.array([-0.5, np.nextafter(0.5, 0.0), 0.5 - 1e-3, -0.5 + 1e-3,
+                     fixed.edges[0] + 1e-9, fixed.edges[0] - 1e-9])
+    xs = np.concatenate((_targets(rho), _on_nodes(rho, 37), seam))
+    # the three panels around some of the seam targets run past the last node
+    p = np.searchsorted(fixed.edges, fixed.edges[0] + (seam - fixed.edges[0]) % 1.0, "right") - 1
+    skip_lo = ((p - 1) * measures._PANEL_NODES + fixed.first) % fixed.field.angles.size
+    assert np.any(skip_lo + 3 * measures._PANEL_NODES > fixed.field.angles.size)
     got, want = rho.potential(xs), dense_density_potential(rho, xs)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -358,8 +366,8 @@ ATOM_KINDS = ["lattice", "moved", "random", "crowded", "few", "edges"]
 
 
 def _atom_targets(rho: EmpiricalMeasure) -> np.ndarray:
-    """Grid, gap midpoints, box edges, points next to the seam and next to
-    atoms, and shifted copies outside [-1/2, 1/2)."""
+    """Grid, gap midpoints, box edges, points next to the seam, on atoms and
+    next to them, and shifted copies outside [-1/2, 1/2)."""
     theta = rho.angles
     n_boxes = rho._box_field.n_boxes
     inside = np.concatenate((
@@ -367,6 +375,7 @@ def _atom_targets(rho: EmpiricalMeasure) -> np.ndarray:
         _canonical_array(theta + 0.5 * ((np.roll(theta, -1) - theta) % 1.0)),
         np.arange(n_boxes) / n_boxes - 0.5,
         [-0.5, np.nextafter(-0.5, 0.0), np.nextafter(0.5, 0.0), 0.5 - 1e-12],
+        theta[::11],
         _canonical_array(theta[::7] + 1e-9)))
     return np.concatenate((inside, inside[::5] + 1.0, inside[::5] - 3.0))
 
@@ -410,6 +419,66 @@ def test_infinite_exactly_at_atoms_across_the_seam():
     assert rho.potential(0.5) == math.inf  # the same point as -1/2
     near = rho.potential(np.array([0.5 - 1e-9, -0.5 + 1e-9]))
     assert np.all(np.isfinite(near))
+
+
+def _near_case(case: str):
+    """An atom set and targets for one edge case of the near pass."""
+    if case == "empty":  # the gap of rho_type1(0.3) leaves about 50 boxes empty
+        rho = discretize_measure(rho_type1(0.3), 4096)
+    else:
+        rho = _atom_set("random", {"seam": 2500, "one_box": 20, "two_boxes": 40}[case], 23)
+    width = 1.0 / rho._box_field.n_boxes
+    seam = np.concatenate((np.linspace(-0.5, -0.5 + width, 40, endpoint=False),
+                           np.linspace(0.5 - width, 0.5, 40, endpoint=False)))
+    return rho, np.concatenate(((np.arange(512) + 0.5) / 512 - 0.5, seam, rho.angles))
+
+
+@pytest.mark.parametrize("case", ["seam", "empty", "one_box", "two_boxes"])
+def test_near_windows_at_the_edges_match_dense_sum(case):
+    """Windows that run past the last point into the wrapped copy (targets
+    in box 0 and box B - 1), empty windows, which read 0, and one or two
+    boxes, where the window is every point; targets on atoms read +inf."""
+    rho, xs = _near_case(case)
+    field = rho._box_field
+    box = ((xs + 0.5) % 1.0 * field.n_boxes).astype(np.int64)
+    lo, length = field.near_lo[box], field.near_len[box]
+    if case == "seam":
+        assert np.any(lo + length > rho.n_atoms) and field.n_boxes >= 64
+    elif case == "empty":
+        assert np.sum(length == 0) >= 100
+    else:
+        assert field.n_boxes == (1 if case == "one_box" else 2)
+        assert np.all(length == rho.n_atoms)
+    _assert_matches_dense(rho, xs)
+    assert np.all(rho.potential(rho.angles) == np.inf)
+
+
+def test_skip_ranges_match_dense_sum_without_them():
+    """One skipped range of points per target: its pairs are never formed,
+    and the far field's share of it is taken back.  Ranges inside the near
+    window, around it, off it and across the seam of the point indices,
+    against the plain sum over the points off the range; a target on a
+    skipped point stays finite."""
+    rng = np.random.default_rng(31)
+    n, reach = 700, 80
+    angles = np.sort(rng.random(n) - 0.5)
+    weights = rng.random(n) + 0.1
+    weights /= weights.sum()
+    field = measures._BoxField.build(angles, weights, reach)
+    assert field.n_boxes == 32
+    on = np.array([0, 1, n - 1, 350])  # targets on these points, in their ranges
+    xs = np.concatenate((rng.random(300) - 0.5, angles[on]))
+    lo = np.concatenate((rng.integers(0, n, 150), rng.integers(n - reach, n, 150),
+                         [n - 2, 0, n - 40, 340]))
+    length = np.concatenate((rng.integers(0, reach + 1, 300), [reach, 5, reach, 20]))
+    assert np.sum(lo + length > n) >= 50
+    skipped = (np.arange(n) - lo[:, None]) % n < length[:, None]
+    assert np.all(skipped[np.arange(300, 304), on])
+    k = kernel_T(xs[:, None] - angles)
+    k[skipped] = 0.0
+    got = field(xs, (lo, length))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - k @ weights)) <= 1e-13
 
 
 def test_fewer_atoms_than_five_boxes_need_is_the_plain_sum():
