@@ -118,17 +118,18 @@ class EmpiricalMeasure:
     def from_pairs(cls, pairs) -> "EmpiricalMeasure":
         if len(pairs) == 0:
             return cls(np.empty(0), np.empty(0))
-        ang = _canonical_array(np.array([p[0] for p in pairs], dtype=float))
-        wts = np.array([p[1] for p in pairs], dtype=float)
-        return cls(ang, wts)
+        return cls(np.array([p[0] for p in pairs], dtype=float),
+                   np.array([p[1] for p in pairs], dtype=float))
 
     def __post_init__(self) -> None:
-        ang = _canonical_array(self.angles)
+        ang = np.asarray(self.angles, dtype=float)
         wts = np.asarray(self.weights, dtype=float)
         if ang.shape != wts.shape or ang.ndim != 1:
             raise ValueError("angles and weights must be 1-d arrays of equal length")
+        # checked before the reduction, which would warn on an infinite angle
         if not np.all(np.isfinite(ang) & np.isfinite(wts) & (wts > 0.0)):
             raise DomainError("atom angles must be finite and weights finite and strictly positive")
+        ang = _canonical_array(ang)
         order = np.argsort(ang, kind="stable")
         ang, wts = ang[order], wts[order]
         if ang.size:

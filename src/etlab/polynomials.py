@@ -32,7 +32,7 @@ from .measures import (
     _BLOCK_DOUBLES,
     EmpiricalMeasure,
     IntervalT,
-    canonical_angle,
+    _canonical_array,
     discrepancy_empirical,
 )
 
@@ -66,7 +66,7 @@ SQRT2 = math.sqrt(2.0)
 _ABERTH_MIN_DEGREE = 48
 _ABERTH_STEPS = 64
 # Roots of larger modulus are summed as log|z_j| + log|1 - w/z_j| in
-# log_abs_on_circle: (Re w - Re z_j)^2 overflows beyond about 1.3e154.
+# log_abs_on_circle: (1 - r_j)^2 overflows beyond about 1.3e154.
 _HUGE_MODULUS = 1e150
 
 
@@ -187,10 +187,15 @@ class PolynomialSpec:
 
     def log_abs_on_circle(self, theta) -> np.ndarray:
         """log |f(e^{2 pi i theta})|.  The root form sums log |w - z_j| with
-        |w - z_j|^2 = (Re w - Re z_j)^2 + (Im w - Im z_j)^2: rounding the parts
-        moves a term by about 2e-16 / |w - z_j|, where 1 + r^2 - 2 r cos would
-        move it by about 2e-16 / |w - z_j|^2.  A root above _HUGE_MODULUS,
-        whose square would overflow, adds log|z_j| + log|1 - w/z_j|."""
+        |w - z_j|^2 = (1 - r_j)^2 + 4 r_j sin^2(pi (theta - phi_j)), every
+        term nonnegative.  theta is first reduced exactly into [-1/2, 1/2]
+        (theta - rint(theta)), and the angles phi_j are stored in
+        [-1/2, 1/2), so theta - phi_j is exact next to a root and the term
+        keeps its relative accuracy there.  Across the seam (theta near 1/2,
+        phi_j near -1/2) the difference is near 1 and may lose half an ulp of
+        1, 2^-53, which moves the term by up to 2^-53 / dist(theta, phi_j),
+        dist in turns.  A root above _HUGE_MODULUS, whose square would
+        overflow, adds log|z_j| + log|1 - w/z_j|."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.coeffs is not None:
             z = np.exp(2j * np.pi * th)
@@ -198,23 +203,25 @@ class PolynomialSpec:
             with np.errstate(divide="ignore"):
                 return np.log(np.abs(vals))
         huge = self.moduli > _HUGE_MODULUS
-        z = self.roots_complex()
-        z, inv_huge = z[~huge], 1.0 / z[huge]
-        re_w, im_w = np.cos(2.0 * np.pi * th), np.sin(2.0 * np.pi * th)
+        r, phi = self.moduli[~huge], self.angles[~huge]
+        gap, scale = (1.0 - r) ** 2, 4.0 * r
+        inv_huge = 1.0 / self.roots_complex()[huge]
+        th = th - np.rint(th)
         out = np.full(th.shape, math.log(abs(self.leading))
                       + float(np.log(self.moduli[huge]).sum()))
         block = max(1, _BLOCK_DOUBLES // max(self.degree, 1))
         for i in range(0, th.size, block):
-            sq = np.subtract.outer(re_w[i:i + block], z.real)
-            dy = np.subtract.outer(im_w[i:i + block], z.imag)
+            sq = np.subtract.outer(th[i:i + block], phi)
+            sq *= np.pi
+            np.sin(sq, out=sq)
             sq *= sq
-            dy *= dy
-            sq += dy
+            sq *= scale
+            sq += gap
             with np.errstate(divide="ignore"):
                 np.log(sq, out=sq)
             out[i:i + block] += 0.5 * sq.sum(axis=1)
             if inv_huge.size:
-                w = re_w[i:i + block] + 1j * im_w[i:i + block]
+                w = np.exp(2j * np.pi * th[i:i + block])
                 out[i:i + block] += np.log(np.abs(1.0 - np.outer(w, inv_huge))).sum(axis=1)
         return out
 
@@ -356,27 +363,42 @@ def _log_abs_slopes(f: PolynomialSpec, theta: np.ndarray) -> tuple[np.ndarray, n
 def _log_abs_grid(f: PolynomialSpec) -> tuple[np.ndarray, np.ndarray]:
     """The grid theta_j = j/N of N = max(4096, 64 n) points and log|f| on it.
 
-    The root form sums its roots at every point; the coefficient form takes
-    one zero-padded FFT, f(e^{2 pi i j/N}) = sum_k a_k e^{2 pi i jk/N}.
+    The coefficient form takes one zero-padded FFT, f(e^{2 pi i j/N}) =
+    sum_k a_k e^{2 pi i jk/N}.  For the root form, |f(e^{2 pi i theta})|^2
+    is a real trigonometric polynomial of degree n, which its values at the
+    M = 2n + 1 points j/M determine (M is odd, so no Nyquist bin aliases
+    the frequencies n and -n): the root sum s = log|f| there, then
+    exp(2 (s - max s)) in [0, 1], one real FFT zero-padded to N, and
+    1/2 log|.| + max s.  Sampling f itself would need the phase of every
+    root term; |f|^2 needs none.  The grid locates the peaks only: its
+    values carry the rounding of the samples and of the FFT, relative to
+    the maximum of |f|^2.
     """
-    grid_n = max(4096, 64 * f.degree)
+    n = f.degree
+    grid_n = max(4096, 64 * n)
     theta = np.arange(grid_n) / grid_n
-    if f.coeffs is None:
-        return theta, f.log_abs_on_circle(theta)
     with np.errstate(divide="ignore"):
-        return theta, np.log(np.abs(np.fft.ifft(f.coeffs, grid_n, norm="forward")))
+        if f.coeffs is not None:
+            return theta, np.log(np.abs(np.fft.ifft(f.coeffs, grid_n, norm="forward")))
+        m = 2 * n + 1
+        s = f.log_abs_on_circle(np.arange(m) / m)
+        top = s.max()
+        sq = np.fft.irfft(np.fft.rfft(np.exp(2.0 * (s - top)), norm="forward"), grid_n,
+                          norm="forward")
+        return theta, 0.5 * np.log(np.abs(sq)) + top
 
 
 def max_log_modulus(f: PolynomialSpec) -> tuple[float, float]:
     """(max of log|f| on the unit circle, maximizing angle).
 
-    log|f| on a grid of N = max(4096, 64 n) points (the root sum, or one
-    zero-padded FFT of the coefficients), then safeguarded Newton
-    (``newton_max``) on the closed-form derivatives of log|f| from the five
-    highest local maxima of the grid (cells at least as high as both
-    neighbours), each within one grid step, to 1e-14.
-    Returns the larger of the best polished value and the best grid value;
-    a careful search, not a certified bound.
+    log|f| on a grid of N = max(4096, 64 n) points (``_log_abs_grid``), then
+    safeguarded Newton (``newton_max``) on the closed-form derivatives of
+    log|f| from the five highest local maxima of the grid (cells at least as
+    high as both neighbours), each within one grid step, to 1e-14.
+    Returns the largest of ``log_abs_on_circle`` at the polished points and
+    at the five grid peaks, each first reduced to [-1/2, 1/2): the value
+    reported is log|f| evaluated at the angle reported, never read from the
+    grid.  A careful search, not a certified bound.
     """
     theta, vals = _log_abs_grid(f)
     step = 1.0 / theta.size
@@ -384,11 +406,10 @@ def max_log_modulus(f: PolynomialSpec) -> tuple[float, float]:
     top = peaks[np.argsort(vals[peaks], kind="stable")[-5:]]
     x = newton_max(lambda t: _log_abs_slopes(f, t), theta[top] - step, theta[top] + step,
                    1e-14)
-    polished = f.log_abs_on_circle(x)
-    j = int(np.argmax(polished))
-    if polished[j] > vals[top[-1]]:
-        return float(polished[j]), canonical_angle(x[j])
-    return float(vals[top[-1]]), canonical_angle(theta[top[-1]])
+    x = _canonical_array(np.concatenate((x, theta[top])))
+    exact = f.log_abs_on_circle(x)
+    j = int(np.argmax(exact))
+    return float(exact[j]), float(x[j])
 
 
 def height_poly(f: PolynomialSpec) -> float:

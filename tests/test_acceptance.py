@@ -167,6 +167,14 @@ def test_criterion_06_sharpness_chain():
     return f"G_discrete={gs}, G_rational={g_rational:.4f}"
 
 
+def test_criterion_06_polynomial_stage():
+    # beside criterion 6: the degree-4096 polynomial whose roots are the
+    # rational stage's atoms reads that stage's D exactly and its H to 1e-11
+    rep = sharpness_pipeline(0.05, 4096, 4096, include_polynomial=True)
+    assert rep.polynomial.D == rep.rational.D
+    assert abs(rep.polynomial.H - rep.rational.H) <= 1e-11
+
+
 @criterion(7, "sediment descent reaches the kind-I equilibrium")
 def test_criterion_07_sediment():
     u = ExternalPotentialSpec(0.0, 0.2)

@@ -672,6 +672,7 @@ class TestNonFiniteInput:
     """NaN and inf are rejected when a measure is built, not turned into a
     NaN potential or discrepancy later."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("angles, weights", [
         ([math.nan, 0.1], [0.5, 0.5]),
         ([math.inf, 0.1], [0.5, 0.5]),

@@ -133,6 +133,34 @@ class TestLogAbsOnCircle:
         bound = 2e-14 + 2.0**-51 * (1.0 / dist).sum(axis=1)
         assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= bound)
 
+    @pytest.mark.parametrize("form", ["unimodular", "off_circle"])
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3, 1e-7, -1e-7, 1e-10, -1e-10])
+    def test_root_sum_next_to_a_root_against_mpmath(self, offset, form):
+        # theta - phi_j is exact next to a root and every term of
+        # (1 - r)^2 + 4 r sin^2(pi (theta - phi_j)) is nonnegative, so each
+        # log term keeps its relative accuracy however close the root
+        rng = np.random.default_rng(16)
+        moduli = np.ones(16) if form == "unimodular" else np.exp(rng.uniform(-0.5, 0.5, 16))
+        f = PolynomialSpec(moduli=moduli, angles=rng.uniform(-0.5, 0.5, 16),
+                           leading=complex(rng.normal(), rng.normal()))
+        theta = f.angles + offset
+        ref = np.array([mp_log_abs(f, t) for t in theta])
+        assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= 1e-14)
+
+    def test_root_sum_across_the_seam_against_mpmath(self):
+        # theta near 1/2 and a root near -1/2: theta - phi_j is near 1, where
+        # the subtraction may lose half an ulp of 1, 2^-53, which moves the
+        # term by up to 2^-53 / dist(theta, phi_j) (dist in turns); on the
+        # root's own side of the seam the flat bound holds
+        gaps = np.array([1e-10, 1e-7, 1e-3])
+        f = PolynomialSpec(moduli=np.array([1.0, 1.0, 1.0, 1.3, 0.8]),
+                           angles=np.concatenate((-0.5 + gaps, [0.1, 0.3])))
+        for theta, seam in ((0.5 - gaps, True), (-0.5 + 2.0 * gaps, False)):
+            ref = np.array([mp_log_abs(f, t) for t in theta])
+            dist = np.abs((np.subtract.outer(theta, f.angles) + 0.5) % 1.0 - 0.5)
+            bound = 1e-14 + (2.0**-53 * (1.0 / dist[:, :3]).sum(axis=1) if seam else 0.0)
+            assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= bound)
+
     @pytest.mark.parametrize("n", [1, 7, 64, 300])
     def test_fft_grid_matches_polyval(self, n):
         rng = np.random.default_rng(n)
@@ -141,6 +169,53 @@ class TestLogAbsOnCircle:
         assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
         direct = np.abs(np.polynomial.polynomial.polyval(np.exp(2j * np.pi * theta), f.coeffs))
         assert np.max(np.abs(np.exp(vals) - direct)) <= 1e-13 * direct.max()
+
+    @pytest.mark.parametrize("form, n", [
+        *[("unimodular", n) for n in (1, 2, 7, 64, 300, 1024)],
+        *[("off_circle", n) for n in (1, 2, 7, 64, 300)],
+        *[("repeated", n) for n in (7, 64, 300)],
+        *[("huge", n) for n in (2, 7, 64)],
+    ])
+    def test_root_form_grid_matches_root_sum(self, form, n):
+        """The grid from 2^(bit_length(n) + 1) samples of |f|^2 and one
+        zero-padded real FFT against the root sum at every grid point."""
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(-0.5, 0.5, n)
+        if form == "repeated":
+            k = max(1, n // 8)
+            p = rng.multinomial(n - k, np.ones(k) / k) + 1
+            f = synthesize_poly(EmpiricalMeasure(angles[:k], p / n), n)
+        else:
+            moduli = np.ones(n) if form == "unimodular" else np.exp(rng.uniform(-0.5, 0.5, n))
+            if form == "huge":
+                moduli[0] = 1e200
+            f = PolynomialSpec(moduli=moduli, angles=angles,
+                               leading=complex(rng.normal(), rng.normal()))
+        theta, vals = _log_abs_grid(f)
+        assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
+        direct = f.log_abs_on_circle(theta)
+        top, high = direct.max(), direct >= direct.max() - 5.0
+
+        def top_peaks(v):
+            # as max_log_modulus picks them; below max - 5 the grid's own
+            # rounding floor (about 1e-15 of max |f|^2, log|f| near max - 17)
+            # makes bumps of its own, so only the high peaks must agree
+            peaks = np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))
+            cells = peaks[np.argsort(v[peaks], kind="stable")[-5:]]
+            return sorted(cells[high[cells]].tolist())
+
+        assert top_peaks(vals) == top_peaks(direct)
+        # the FFT rounds relative to max |f|^2, so the error in log|f| grows
+        # as e^{2 (max - log|f|)}: at most 5e-13 times that, and 1e-10 at
+        # max - 5
+        err = np.abs(vals - direct)[high]
+        assert np.all(err <= np.minimum(1e-10, 5e-13 * np.exp(2.0 * (top - direct[high]))))
+
+    @pytest.mark.parametrize("form", ["unimodular", "off_circle", "coefficients"])
+    def test_reported_maximum_is_the_root_sum_at_its_angle(self, form):
+        for f in corpus_of(form, seed=2121):
+            peak, arg = max_log_modulus(f)
+            assert abs(peak - float(f.log_abs_on_circle(arg)[0])) <= 1e-15, f.degree
 
 
 class TestHeights:
