@@ -227,13 +227,9 @@ def table1() -> list[Table1Row]:
     """The 20-row verification grid: (R_k, H_k, D_k) and the staggered ratios
     H_k / D_{k+1}^2, all computed from the kind-III family (the last row sits
     at the critical radius, where the curve parameter L reaches 0)."""
-    rc = r_critical()
     rows_hd = []
     for k, R in enumerate(TABLE1_R_GRID):
-        if R >= rc:
-            mu = AdmissibleDistR("II", 1.0, R)
-        else:
-            mu = make_admissible(R, 1.0)
+        mu = make_admissible(R)
         rows_hd.append((k, R, h_tilde(mu), d_tilde(mu)))
     rows = []
     for k, R, H, D in rows_hd:

@@ -126,15 +126,13 @@ def mollified_type1_samples(m: float, grid_n: int = 4096,
     if not 0.0 < a <= 0.25:
         raise DomainError(f"mollifier width must be in (0, 1/4], got {a}")
     rho = rho_type1(m)
-    dens = rho.density.evaluate if rho.density is not None else (
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     theta = np.arange(grid_n) / grid_n
     out = 2.0 * m * triangular_mollifier((theta + 0.5) % 1.0 - 0.5, a)
     nodes, weights = kernels._gl_rule(32)
     for lo, hi in ((-a, 0.0), (0.0, a)):
         ts = lo + (hi - lo) * nodes
         psi = triangular_mollifier(ts, a) * weights * (hi - lo)
-        out += dens(theta[:, None] - ts[None, :]) @ psi
+        out += rho.density_eval(theta[:, None] - ts[None, :]) @ psi
     return out
 
 

@@ -618,10 +618,14 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
         return out
     R, L = mu.R, mu.L
     mask = (au >= R) if mu.kind == "II" else ((au >= R) | (au <= L))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.sqrt(np.maximum((u * u - R * R) * (u * u - L * L), 0.0)) \
-            / np.abs(u * u - 1.0)
-    out[mask] += vals[mask]
+    # sqrt((u^2 - R^2)(u^2 - L^2)) / |u^2 - 1| as the root of four bounded,
+    # nonnegative ratios such as (|u| - R) / (|u| - 1): |u| - R is exact next
+    # to a support edge, and nothing overflows far out, where the unfactored
+    # product does from |u| ~ 1e77 on
+    a = au[mask]
+    below, above = a - 1.0, a + 1.0
+    out[mask] += np.sqrt((a - R) / below * ((a + R) / above)
+                         * ((a - L) / below) * ((a + L) / above))
     return out
 
 

@@ -65,9 +65,6 @@ SQRT2 = math.sqrt(2.0)
 # live after _ABERTH_STEPS falls back to np.roots.
 _ABERTH_MIN_DEGREE = 48
 _ABERTH_STEPS = 64
-# Roots of larger modulus are summed as log|z_j| + log|1 - w/z_j| in
-# log_abs_on_circle: (1 - r_j)^2 overflows beyond about 1.3e154.
-_HUGE_MODULUS = 1e150
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,28 +184,27 @@ class PolynomialSpec:
 
     def log_abs_on_circle(self, theta) -> np.ndarray:
         """log |f(e^{2 pi i theta})|.  The root form sums log |w - z_j| with
-        |w - z_j|^2 = (1 - r_j)^2 + 4 r_j sin^2(pi (theta - phi_j)), every
-        term nonnegative.  theta is first reduced exactly into [-1/2, 1/2]
-        (theta - rint(theta)), and the angles phi_j are stored in
-        [-1/2, 1/2), so theta - phi_j is exact next to a root and the term
-        keeps its relative accuracy there.  Across the seam (theta near 1/2,
-        phi_j near -1/2) the difference is near 1 and may lose half an ulp of
-        1, 2^-53, which moves the term by up to 2^-53 / dist(theta, phi_j),
-        dist in turns.  A root above _HUGE_MODULUS, whose square would
-        overflow, adds log|z_j| + log|1 - w/z_j|."""
+        |w - z_j|^2 = R_j^2 [((1 - r_j)/R_j)^2 + 4 (r_j/R_j)/R_j
+        sin^2(pi (theta - phi_j))], R_j = max(r_j, 1): every term is
+        nonnegative and none overflows, and for r_j <= 1 it is
+        (1 - r_j)^2 + 4 r_j sin^2 exactly.  theta is first reduced exactly
+        into [-1/2, 1/2] (theta - rint(theta)), and the angles phi_j are
+        stored in [-1/2, 1/2), so theta - phi_j is exact next to a root and
+        the term keeps its relative accuracy there.  Across the seam (theta
+        near 1/2, phi_j near -1/2) the difference is near 1 and may lose half
+        an ulp of 1, 2^-53, which moves the term by up to
+        2^-53 / dist(theta, phi_j), dist in turns."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.coeffs is not None:
             z = np.exp(2j * np.pi * th)
             vals = np.polynomial.polynomial.polyval(z, self.coeffs)
             with np.errstate(divide="ignore"):
                 return np.log(np.abs(vals))
-        huge = self.moduli > _HUGE_MODULUS
-        r, phi = self.moduli[~huge], self.angles[~huge]
-        gap, scale = (1.0 - r) ** 2, 4.0 * r
-        inv_huge = 1.0 / self.roots_complex()[huge]
+        r, phi = self.moduli, self.angles
+        big = np.maximum(r, 1.0)
+        gap, scale = ((1.0 - r) / big) ** 2, 4.0 * (r / big) / big
         th = th - np.rint(th)
-        out = np.full(th.shape, math.log(abs(self.leading))
-                      + float(np.log(self.moduli[huge]).sum()))
+        out = np.full(th.shape, math.log(abs(self.leading)) + float(np.log(big).sum()))
         block = max(1, _BLOCK_DOUBLES // max(self.degree, 1))
         for i in range(0, th.size, block):
             sq = np.subtract.outer(th[i:i + block], phi)
@@ -220,9 +216,6 @@ class PolynomialSpec:
             with np.errstate(divide="ignore"):
                 np.log(sq, out=sq)
             out[i:i + block] += 0.5 * sq.sum(axis=1)
-            if inv_huge.size:
-                w = np.exp(2j * np.pi * th[i:i + block])
-                out[i:i + block] += np.log(np.abs(1.0 - np.outer(w, inv_huge))).sum(axis=1)
         return out
 
 
@@ -338,73 +331,70 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
     return z
 
 
-def _log_abs_slopes(f: PolynomialSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g', g'') of g(theta) = log|f(e^{2 pi i theta})| in closed form.
+def _modulus_coefficients(f: PolynomialSpec) -> np.ndarray:
+    """The Fourier coefficients c_0 .. c_n of P = |f|^2 / (its largest
+    sample): P(theta) = c_0 + 2 Re sum_{k>=1} c_k e^{2 pi i k theta}.
 
-    With w = e^{2 pi i theta}, s1 = w f'(w)/f(w) and s2 = w s1'(w), g' =
-    -2 pi Im s1 and g'' = -4 pi^2 Re s2.  The root form sums q_j = w/(w - z_j)
-    and q_j (1 - q_j); the coefficient form takes the moments sum k^p a_k w^k
-    from one Vandermonde block.
+    |f(e^{2 pi i theta})|^2 is a real trigonometric polynomial of degree n,
+    which its values at the M = 2n + 1 points j/M determine (M is odd, so no
+    Nyquist bin aliases the frequencies n and -n).  s = log|f| there comes
+    from one FFT of the coefficients where they are present, else from the
+    root sum; then exp(2 (s - max s)) in [0, 1] and one real FFT.  Sampling
+    f itself would need the phase of every root term; |f|^2 needs none.
     """
-    w = np.exp(2j * np.pi * theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if f.coeffs is not None:
-            k = np.arange(f.coeffs.size, dtype=float)
-            terms = np.exp(2j * np.pi * np.outer(theta, k)) * f.coeffs
-            val = terms.sum(axis=1)
-            s1 = (terms @ k) / val
-            s2 = (terms @ (k * k)) / val - s1 * s1
-        else:
-            q = w[:, None] / np.subtract.outer(w, f.roots_complex())
-            s1, s2 = q.sum(axis=1), (q * (1.0 - q)).sum(axis=1)
-    return -2.0 * np.pi * s1.imag, -4.0 * np.pi**2 * s2.real
-
-
-def _log_abs_grid(f: PolynomialSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid theta_j = j/N of N = max(4096, 64 n) points and log|f| on it.
-
-    The coefficient form takes one zero-padded FFT, f(e^{2 pi i j/N}) =
-    sum_k a_k e^{2 pi i jk/N}.  For the root form, |f(e^{2 pi i theta})|^2
-    is a real trigonometric polynomial of degree n, which its values at the
-    M = 2n + 1 points j/M determine (M is odd, so no Nyquist bin aliases
-    the frequencies n and -n): the root sum s = log|f| there, then
-    exp(2 (s - max s)) in [0, 1], one real FFT zero-padded to N, and
-    1/2 log|.| + max s.  Sampling f itself would need the phase of every
-    root term; |f|^2 needs none.  The grid locates the peaks only: its
-    values carry the rounding of the samples and of the FFT, relative to
-    the maximum of |f|^2.
-    """
-    n = f.degree
-    grid_n = max(4096, 64 * n)
-    theta = np.arange(grid_n) / grid_n
-    with np.errstate(divide="ignore"):
-        if f.coeffs is not None:
-            return theta, np.log(np.abs(np.fft.ifft(f.coeffs, grid_n, norm="forward")))
-        m = 2 * n + 1
+    m = 2 * f.degree + 1
+    if f.coeffs is not None:
+        with np.errstate(divide="ignore"):
+            s = np.log(np.abs(np.fft.ifft(f.coeffs, m, norm="forward")))
+    else:
         s = f.log_abs_on_circle(np.arange(m) / m)
-        top = s.max()
-        sq = np.fft.irfft(np.fft.rfft(np.exp(2.0 * (s - top)), norm="forward"), grid_n,
-                          norm="forward")
-        return theta, 0.5 * np.log(np.abs(sq)) + top
+    return np.fft.rfft(np.exp(2.0 * (s - s.max())), norm="forward")
+
+
+def _modulus_grid(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid theta_j = j/N of N = max(4096, 64 n) points and P on it, by
+    one real FFT zero-padded to N.  Its values carry the rounding of the
+    samples and of the FFT, about 1e-16 of max P."""
+    grid_n = max(4096, 64 * (c.size - 1))
+    return np.arange(grid_n) / grid_n, np.fft.irfft(c, grid_n, norm="forward")
+
+
+def _modulus_slopes(c: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P', P'') at theta from the coefficients of P: the sums
+    -4 pi sum k Im(c_k e^{2 pi i k theta}) and -8 pi^2 sum k^2 Re(...)."""
+    k = np.arange(1, c.size, dtype=float)
+    terms = np.exp(2j * np.pi * np.outer(theta, k))
+    d1 = np.einsum("ij,j->i", terms, k * c[1:])
+    d2 = np.einsum("ij,j->i", terms, k * k * c[1:])
+    return -4.0 * np.pi * d1.imag, -8.0 * np.pi**2 * d2.real
 
 
 def max_log_modulus(f: PolynomialSpec) -> tuple[float, float]:
     """(max of log|f| on the unit circle, maximizing angle).
 
-    log|f| on a grid of N = max(4096, 64 n) points (``_log_abs_grid``), then
-    safeguarded Newton (``newton_max``) on the closed-form derivatives of
-    log|f| from the five highest local maxima of the grid (cells at least as
-    high as both neighbours), each within one grid step, to 1e-14.
-    Returns the largest of ``log_abs_on_circle`` at the polished points and
-    at the five grid peaks, each first reduced to [-1/2, 1/2): the value
-    reported is log|f| evaluated at the angle reported, never read from the
-    grid.  A careful search, not a certified bound.
+    P = |f|^2 / (its largest sample) from its Fourier coefficients
+    (``_modulus_coefficients``), on a grid of N = max(4096, 64 n) points
+    (``_modulus_grid``).  Its five highest local maxima (cells at least as
+    high as both neighbours) are kept, less any that Bernstein's inequality
+    shows cannot reach the grid maximum: with |P''| <= (2 pi n)^2 ||P||, an
+    apex is at most eps ||P|| above the cell within half a cell of it,
+    eps = (pi n / N)^2 / 2, and ||P|| <= max / (1 - eps), so a peak below
+    max (1 - eps / (1 - eps)) is dropped.  Safeguarded Newton
+    (``newton_max``) on P', P'' from the same coefficients polishes each,
+    within one grid step, to 1e-14.  Returns the largest of
+    ``log_abs_on_circle`` at the polished points and at the kept grid peaks,
+    each first reduced to [-1/2, 1/2): the value reported is log|f|
+    evaluated at the angle reported, never read from the grid.  A careful
+    search, not a certified bound.
     """
-    theta, vals = _log_abs_grid(f)
+    c = _modulus_coefficients(f)
+    theta, vals = _modulus_grid(c)
     step = 1.0 / theta.size
+    eps = 0.5 * (np.pi * f.degree * step) ** 2
     peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
     top = peaks[np.argsort(vals[peaks], kind="stable")[-5:]]
-    x = newton_max(lambda t: _log_abs_slopes(f, t), theta[top] - step, theta[top] + step,
+    top = top[vals[top] >= vals.max() * (1.0 - eps / (1.0 - eps))]
+    x = newton_max(lambda t: _modulus_slopes(c, t), theta[top] - step, theta[top] + step,
                    1e-14)
     x = _canonical_array(np.concatenate((x, theta[top])))
     exact = f.log_abs_on_circle(x)

@@ -295,6 +295,28 @@ class TestDensityR:
         with pytest.raises(AtDirac):
             density_R(AdmissibleDistR("I", 1.0), 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e-80, 2e-154])
+    @pytest.mark.parametrize("kind", ["II", "III"])
+    def test_line_density_against_mpmath(self, kind, lam):
+        # (u^2 - R^2)(u^2 - L^2) overflows from |u| ~ 1e77 on, and u^2 itself
+        # from 1.3e154 on (t = 400 at the smallest lam with a normal square):
+        # far out the density is about (1 - (R^2 + L^2)/2) / u^2, not inf;
+        # next to the support edges |u| = R and L it keeps its digits
+        mu = (AdmissibleDistR("II", lam, 2.0) if kind == "II"
+              else AdmissibleDistR("III", lam, 1.4, l_of_r(1.4)))
+        t = np.array([0.3, 0.1, 0.45 * lam, 1.3 * lam, 3.0 * lam, 400.0])
+        t = np.concatenate((t, lam * np.array([mu.R + 1e-12, mu.L - 1e-12])))
+        got = admissible_density_line(mu, t)
+        with mpmath.workdps(40):
+            R, L = mpmath.mpf(mu.R), mpmath.mpf(mu.L)
+            ref = []
+            for u in (mpmath.mpf(float(x)) for x in t / lam):
+                inside = abs(u) >= R or abs(u) <= L
+                ref.append(float(-1 + (mpmath.sqrt((u * u - R * R) * (u * u - L * L))
+                                       / abs(u * u - 1) if inside else 0)))
+        assert np.all(np.abs(got - np.array(ref)) <= 1e-15)
+
     def test_mean_zero_and_decay(self):
         # window totals ~ -tail ~ 2|c|/X and the density is O(1/x^2)
         for mu in (AdmissibleDistR("I", 1.0), AdmissibleDistR("II", 1.0, 2.0),

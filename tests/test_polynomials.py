@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 import golden_modulus
 from conftest import assert_sharp_inequality
 from etlab import polynomials
+from etlab._search import newton_max
 from etlab.errors import (
     DomainError,
     NonRationalWeights,
@@ -20,7 +21,9 @@ from etlab.errors import (
 from etlab.measures import EmpiricalMeasure, height_T
 from etlab.polynomials import (
     PolynomialSpec,
-    _log_abs_grid,
+    _modulus_coefficients,
+    _modulus_grid,
+    _modulus_slopes,
     check_et,
     count_at_angle,
     discrepancy_poly,
@@ -116,6 +119,24 @@ class TestAgainstGoldenSection:
         peak, arg = max_log_modulus(f)
         assert abs(peak - mp_log_abs(f, arg)) <= 1e-12
 
+    @pytest.mark.parametrize("form", ["unimodular", "off_circle", "coefficients"])
+    def test_polishing_every_grid_peak_gives_the_same_height(self, form):
+        # max_log_modulus polishes the five highest grid peaks above the
+        # Bernstein floor; Newton from every local maximum of the grid, with
+        # neither the cap nor the floor, finds no higher value
+        for f in corpus_of(form) + corpus_of(form, seed=2121):
+            if f.degree > 64:
+                continue
+            c = _modulus_coefficients(f)
+            theta, vals = _modulus_grid(c)
+            step = 1.0 / theta.size
+            peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+            x = newton_max(lambda t: _modulus_slopes(c, t), theta[peaks] - step,
+                           theta[peaks] + step, 1e-14)
+            every = f.log_abs_on_circle(np.concatenate((x, theta[peaks]))).max()
+            peak, _ = max_log_modulus(f)
+            assert abs(peak - every) / f.degree <= 1e-15, f.degree
+
 
 class TestLogAbsOnCircle:
     @pytest.mark.parametrize("form", ["unimodular", "off_circle"])
@@ -147,6 +168,24 @@ class TestLogAbsOnCircle:
         ref = np.array([mp_log_abs(f, t) for t in theta])
         assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= 1e-14)
 
+    @pytest.mark.parametrize("modulus", [1.0 + 1e-12, 1e100, 1e153, 1e200, 1e300])
+    def test_root_sum_at_one_modulus_against_mpmath(self, modulus):
+        # one root of the given modulus among off-circle ones, on both sides
+        # of 1.3e154, beyond which (1 - r)^2 alone would overflow: with
+        # R = max(r, 1) every scaled term stays finite and nonnegative, and
+        # log R carries the size
+        rng = np.random.default_rng(17)
+        moduli = np.exp(rng.uniform(-0.5, 0.5, 16))
+        moduli[0] = modulus
+        f = PolynomialSpec(moduli=moduli, angles=rng.uniform(-0.5, 0.5, 16),
+                           leading=complex(rng.normal(), rng.normal()))
+        theta = np.concatenate((f.angles[0] + np.array([0.0, 1e-10, -1e-7, 1e-3]),
+                                f.angles[1:5] + 1e-7, rng.uniform(-0.5, 0.5, 8)))
+        ref = np.array([mp_log_abs(f, t) for t in theta])
+        with np.errstate(over="raise", invalid="raise"):
+            got = f.log_abs_on_circle(theta)
+        assert np.all(np.abs(got - ref) <= 1e-14 + 1e-15 * np.abs(ref))
+
     def test_root_sum_across_the_seam_against_mpmath(self):
         # theta near 1/2 and a root near -1/2: theta - phi_j is near 1, where
         # the subtraction may lose half an ulp of 1, 2^-53, which moves the
@@ -161,14 +200,41 @@ class TestLogAbsOnCircle:
             bound = 1e-14 + (2.0**-53 * (1.0 / dist[:, :3]).sum(axis=1) if seam else 0.0)
             assert np.all(np.abs(f.log_abs_on_circle(theta) - ref) <= bound)
 
+    @staticmethod
+    def assert_grid_matches(f, direct_of, tol):
+        """P on the grid against direct_of(theta), |f|^2 / max |f|^2 from an
+        independent evaluation: the same theta, values within tol of the
+        maximum, and the same top peak cells among those where
+        |f|^2 >= e^-10 max."""
+        n = f.degree
+        theta, vals = _modulus_grid(_modulus_coefficients(f))
+        assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
+        direct = direct_of(theta)
+        high = direct >= math.exp(-10.0)
+
+        def top_peaks(v):
+            # as max_log_modulus picks them; below e^-10 the grid's own
+            # rounding floor (about 1e-16 of max P) makes bumps of its own,
+            # so only the high peaks must agree
+            peaks = np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))
+            cells = peaks[np.argsort(v[peaks], kind="stable")[-5:]]
+            return sorted(cells[high[cells]].tolist())
+
+        assert top_peaks(vals) == top_peaks(direct)
+        assert np.max(np.abs(vals / vals.max() - direct)) <= tol
+
     @pytest.mark.parametrize("n", [1, 7, 64, 300])
     def test_fft_grid_matches_polyval(self, n):
         rng = np.random.default_rng(n)
         f = PolynomialSpec.from_coeffs(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
-        theta, vals = _log_abs_grid(f)
-        assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
-        direct = np.abs(np.polynomial.polynomial.polyval(np.exp(2j * np.pi * theta), f.coeffs))
-        assert np.max(np.abs(np.exp(vals) - direct)) <= 1e-13 * direct.max()
+
+        def direct_of(theta):
+            sq = np.abs(np.polynomial.polynomial.polyval(np.exp(2j * np.pi * theta),
+                                                         f.coeffs)) ** 2
+            return sq / sq.max()
+
+        # 1e-13 of max |f| on |f|, as the grid of f itself was held to
+        self.assert_grid_matches(f, direct_of, 2e-13)
 
     @pytest.mark.parametrize("form, n", [
         *[("unimodular", n) for n in (1, 2, 7, 64, 300, 1024)],
@@ -177,8 +243,8 @@ class TestLogAbsOnCircle:
         *[("huge", n) for n in (2, 7, 64)],
     ])
     def test_root_form_grid_matches_root_sum(self, form, n):
-        """The grid from 2^(bit_length(n) + 1) samples of |f|^2 and one
-        zero-padded real FFT against the root sum at every grid point."""
+        """P from 2n + 1 samples of |f|^2 and one zero-padded real FFT
+        against the exp of twice the root sum at every grid point."""
         rng = np.random.default_rng(n)
         angles = rng.uniform(-0.5, 0.5, n)
         if form == "repeated":
@@ -191,25 +257,16 @@ class TestLogAbsOnCircle:
                 moduli[0] = 1e200
             f = PolynomialSpec(moduli=moduli, angles=angles,
                                leading=complex(rng.normal(), rng.normal()))
-        theta, vals = _log_abs_grid(f)
-        assert np.array_equal(theta, np.arange(max(4096, 64 * n)) / max(4096, 64 * n))
-        direct = f.log_abs_on_circle(theta)
-        top, high = direct.max(), direct >= direct.max() - 5.0
 
-        def top_peaks(v):
-            # as max_log_modulus picks them; below max - 5 the grid's own
-            # rounding floor (about 1e-15 of max |f|^2, log|f| near max - 17)
-            # makes bumps of its own, so only the high peaks must agree
-            peaks = np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))
-            cells = peaks[np.argsort(v[peaks], kind="stable")[-5:]]
-            return sorted(cells[high[cells]].tolist())
+        def direct_of(theta):
+            s = f.log_abs_on_circle(theta)
+            return np.exp(2.0 * (s - s.max()))
 
-        assert top_peaks(vals) == top_peaks(direct)
-        # the FFT rounds relative to max |f|^2, so the error in log|f| grows
-        # as e^{2 (max - log|f|)}: at most 5e-13 times that, and 1e-10 at
-        # max - 5
-        err = np.abs(vals - direct)[high]
-        assert np.all(err <= np.minimum(1e-10, 5e-13 * np.exp(2.0 * (top - direct[high]))))
+        # both sides round relative to max P: each sample of log|f| carries
+        # the rounding of its n terms, up to log 1e200 in size, which
+        # exp(2 (s - max s)) doubles (up to 1.4e-13 here); 1e-12 is the
+        # 5e-13 e^{2 (max - log|f|)} the log grid was held to
+        self.assert_grid_matches(f, direct_of, 1e-12)
 
     @pytest.mark.parametrize("form", ["unimodular", "off_circle", "coefficients"])
     def test_reported_maximum_is_the_root_sum_at_its_angle(self, form):
