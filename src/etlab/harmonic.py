@@ -21,6 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, HNonpositive, KNonpositive, NegativeDensity
 from .extremal import rho_type1
+from .measures import _canonical_array
 
 __all__ = [
     "conjugate_pair",
@@ -127,7 +128,7 @@ def mollified_type1_samples(m: float, grid_n: int = 4096,
         raise DomainError(f"mollifier width must be in (0, 1/4], got {a}")
     rho = rho_type1(m)
     theta = np.arange(grid_n) / grid_n
-    out = 2.0 * m * triangular_mollifier((theta + 0.5) % 1.0 - 0.5, a)
+    out = 2.0 * m * triangular_mollifier(_canonical_array(theta), a)
     nodes, weights = kernels._gl_rule(32)
     for lo, hi in ((-a, 0.0), (0.0, a)):
         ts = lo + (hi - lo) * nodes

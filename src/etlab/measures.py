@@ -19,9 +19,10 @@ neighbours exactly, every other box through a Chebyshev far field on one
 level of boxes, within about 1e-15 of the plain kernel sum.
 ``EmpiricalMeasure.potential`` sends its atoms through it.
 ``MixedMeasureT.potential`` evaluates all targets in one pass: fixed nodes
-graded toward the density's kinks go through the engine, and the panels next
-to x take the kernel split -log|x - y| + smooth, product-integrated against
-rho's interpolant on each panel (``_density_potential``).
+graded toward the density's kinks go through the engine the same way, and on
+the three panels next to x the node sum is corrected by the kernel split
+-log|x - y| + smooth, product-integrated against rho's interpolant on each
+panel (``_density_potential``).
 ``height_T`` samples its whole grid in one such call.  The mass, the
 discrepancy and the discretization (``discretize.discretize_measure``) read
 the same interpolants through one cumulative, ``_FixedNodes.cumulative``, so
@@ -183,12 +184,13 @@ class EmpiricalMeasure:
         return field
 
 
-# The kernel sum over weighted points (the atoms of an empirical measure, the
-# fixed nodes of a density), one level of the black-box fast multipole method
-# (Fong & Darve, J. Comput. Phys. 228, 2009).  [-1/2, 1/2) splits into B equal
-# boxes, B the largest power of two not above n / _BOX_ATOMS for n points (1
-# for fewer than 2 * _BOX_ATOMS).  A target sums the points of its own box and
-# of its two neighbours exactly.  Boxes two or more away reach it through
+# The kernel sum over every weighted point at every target (the atoms of an
+# empirical measure, the fixed nodes of a density: one call path for both),
+# one level of the black-box fast multipole method (Fong & Darve, J. Comput.
+# Phys. 228, 2009).  [-1/2, 1/2) splits into B equal boxes, B the largest
+# power of two not above n / _BOX_ATOMS for n points (1 for fewer than
+# 2 * _BOX_ATOMS).  A target sums the points of its own box and of its two
+# neighbours exactly.  Boxes two or more away reach it through
 # _CHEB_NODES Chebyshev nodes per box: the weights of each box are anterpolated
 # onto its nodes, the kernel between the nodes of boxes b and c depends on
 # (b - c) mod B only, so every far box is summed in one FFT convolution, and
@@ -268,9 +270,8 @@ class _BoxField:
     coef: np.ndarray      # coef[j, b]: degree-j Chebyshev coefficient of the far field in box b
 
     @classmethod
-    def build(cls, angles: np.ndarray, weights: np.ndarray, reach: int = 0) -> "_BoxField":
-        """The field of the points; ``reach`` is the longest range of points
-        a call will skip."""
+    def build(cls, angles: np.ndarray, weights: np.ndarray) -> "_BoxField":
+        """The field of the points."""
         n = weights.size
         n_boxes = 1 << max(0, (n // _BOX_ATOMS).bit_length() - 1)
         s = (angles + 0.5) * n_boxes
@@ -292,32 +293,21 @@ class _BoxField:
         # the far field at the nodes of each box
         at_nodes = np.fft.irfft(_far_transfer(n_boxes) @ np.fft.rfft(_CHEB_FIT.T @ moments, axis=0),
                                 n=n_boxes, axis=0)
-        wrap = np.arange(n + max(reach, int(np.max(near_lo + near_len)) - n))
+        wrap = np.arange(int(np.max(near_lo + near_len)))
         wrapped_angles = np.take(angles, wrap, mode="wrap")
         wrapped_weights = np.take(weights, wrap, mode="wrap")
         return cls(wrapped_angles[:n], wrapped_weights[:n], wrapped_angles, wrapped_weights,
                    n_boxes, near_lo, near_len,
                    np.ascontiguousarray((_CHEB_FIT @ at_nodes)[:, :, 0].T))
 
-    def __call__(self, xs: np.ndarray, skip=None) -> np.ndarray:
-        """sum_i weights[i] W(x - angles[i]) at each x, over every point but
-        lo, ..., lo + length - 1 (mod n) for ``skip`` = (lo, length), one
-        range per target, length at most the ``reach`` of ``build``."""
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """sum_i weights[i] W(x - angles[i]) at each x."""
         s = (xs + 0.5) % 1.0 * self.n_boxes  # in [0, B) for finite x
         box = np.nan_to_num(s).astype(np.int64)
-        near = (self.near_lo[box], self.near_len[box])
         # the far field goes after the near sums: computed first, it left a
         # sharpness_chain run's peak RSS 0.3 MB higher under a fixed mmap threshold
-        if skip is None:
-            return self._window_sums(xs, *near) + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
-        # the near window less the skipped points, and the skipped points
-        # off the window, whose share of the far field is taken back: up to
-        # two ranges each, the four of a target side by side
-        n = self.angles.size
-        lo, length = np.stack(_range_minus(near, skip, n) + _range_minus(skip, near, n), axis=-1)
-        sums = self._window_sums(np.repeat(xs, 4), lo.ravel(), length.ravel()).reshape(-1, 4)
-        return (sums[:, 0] + sums[:, 1] + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
-                - (sums[:, 2] + sums[:, 3]))
+        near = self._window_sums(xs, self.near_lo[box], self.near_len[box])
+        return near + _clenshaw(self.coef, box, 2.0 * (s - box) - 1.0)
 
     def _window_sums(self, xs: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
         """Exact kernel sum at each x over the points lo, ..., lo + length - 1
@@ -347,18 +337,6 @@ class _BoxField:
                 out[i:j][full] = np.add.reduceat(pairs, first[full])
             i = j
         return out
-
-
-def _range_minus(a, b, n: int):
-    """The points of the index ranges a = (lo, length) off the ranges b, one
-    of each per target (indices mod n, lengths at most n): two ranges (lo,
-    length) per target, inside a's unwrapped span."""
-    lo, length = a
-    start = (b[0] - lo) % n  # b from a's first point
-    stop = start + b[1]
-    head = np.maximum(stop - n, 0)  # b's part wrapped onto a's front
-    return [(lo + head, np.maximum(np.minimum(length, start) - head, 0)),
-            (lo + stop, np.maximum(length - stop, 0))]
 
 
 def _check_probability(rho: EmpiricalMeasure) -> None:
@@ -607,23 +585,17 @@ def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
     Vectorized and silent about Dirac locations; the scalar, raising variant
     is ``extremal.density_R``.
     """
-    u = np.asarray(t, dtype=float) / mu.lam
-    au = np.abs(u)
-    out = np.full_like(u, -1.0)
-    if mu.kind == "I":
-        mask = au >= 1.0 / math.pi
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.sqrt(np.maximum(u * u - math.pi**-2, 0.0)) / au
-        out[mask] += vals[mask]
-        return out
-    R, L = mu.R, mu.L
-    mask = (au >= R) if mu.kind == "II" else ((au >= R) | (au <= L))
-    # sqrt((u^2 - R^2)(u^2 - L^2)) / |u^2 - 1| as the root of four bounded,
-    # nonnegative ratios such as (|u| - R) / (|u| - 1): |u| - R is exact next
+    au = np.abs(np.asarray(t, dtype=float) / mu.lam)
+    out = np.full_like(au, -1.0)
+    # sqrt((u^2 - R^2)(u^2 - L^2)) / |u^2 - p^2| as the root of four bounded,
+    # nonnegative ratios such as (|u| - R) / (|u| - p): |u| - R is exact next
     # to a support edge, and nothing overflows far out, where the unfactored
-    # product does from |u| ~ 1e77 on
+    # product does from |u| ~ 1e77 on.  Kind I, sqrt(u^2 - 1/pi^2) / |u|, is
+    # (R, L, p) = (1/pi, 0, 0); only kind III has u = 0 on its support.
+    R, L, pole = (1.0 / math.pi, 0.0, 0.0) if mu.kind == "I" else (mu.R, mu.L, 1.0)
+    mask = (au >= R) | ((au <= L) & (L > 0.0))
     a = au[mask]
-    below, above = a - 1.0, a + 1.0
+    below, above = a - pole, a + pole
     out[mask] += np.sqrt((a - R) / below * ((a + R) / above)
                          * ((a - L) / below) * ((a + L) / above))
     return out
@@ -762,12 +734,13 @@ class MixedMeasureT:
 
 
 # The batched potential of a density.  Panels between its kinks take fixed
-# Gauss-Legendre nodes, so the density is evaluated there once per measure.
-# Every panel but the one holding x and its two neighbours reaches x through
-# the nodes' box field.  On those three the kernel is split (Helsing & Ojala,
-# J. Comput. Phys. 227, 2008), W(t) = -log|t| + s(t) with s(t) =
-# -log(2 pi sinc t) smooth for |t| < 1: s takes the panel's own nodes, and
-# -log|t| is integrated exactly against rho's interpolant on the panel.
+# Gauss-Legendre nodes, so the density is evaluated there once per measure,
+# and every node reaches x through the nodes' box field.  On the panel holding
+# x and its two neighbours that node sum is corrected by kernel splitting
+# (Helsing & Ojala, J. Comput. Phys. 227, 2008): W(t) = -log|t| + s(t) with s
+# smooth for |t| < 1, so adding w rho log|t| over their nodes leaves the node
+# sum of s, and -log|t| is integrated exactly against rho's interpolant on
+# each of the three panels.
 _PANEL_WIDTH = 1.0 / 16.0  # widest fixed panel
 _PANEL_NODES = 24          # Gauss-Legendre nodes per fixed panel
 _KINK_LEVELS = 40          # dyadic levels of the end panels toward each kink
@@ -822,7 +795,7 @@ class _FixedNodes:
         # the nodes at or above 1/2 wrap to the front as y - 1, which is exact
         first = (y.size - int(np.searchsorted(y, 0.5))) % y.size
         ys = np.roll(np.where(y >= 0.5, y - 1.0, y), first)
-        return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first), 3 * _PANEL_NODES),
+        return cls(edges, first, _BoxField.build(ys, np.roll(w_rho, first)),
                    rho.reshape(widths.size, _PANEL_NODES) @ fit, math.fsum(w_rho.tolist()))
 
     def _locate(self, t: np.ndarray):
@@ -900,31 +873,40 @@ def _log_moments(z: np.ndarray) -> np.ndarray:
 
 
 def _density_potential(fixed: _FixedNodes, xs: np.ndarray) -> np.ndarray:
-    """W * rho at every x: the box field over the nodes off the panel holding
-    x and its two neighbours, and the split kernel on those three panels, in
-    blocks of about ``_BLOCK_DOUBLES`` doubles."""
+    """W * rho at every x: the box field over every node, corrected on the
+    panel holding x and its two neighbours, in blocks of about
+    ``_BLOCK_DOUBLES`` doubles."""
     edges, field, coef = fixed.edges, fixed.field, fixed.coef
-    n_panels = edges.size - 1
-    rel = edges[0] + (xs - edges[0]) % 1.0
+    n_panels, n_nodes = edges.size - 1, field.angles.size
+    x = _canonical_array(xs)
+    # A target on a node, where W is +inf, moves to the next double above it
+    # that is no node.  On every measure tried distinct nodes are at least 2
+    # ulps apart, so the move is one ulp and the potential moves by under 1e-15.
+    on = field.angles[np.searchsorted(field.angles, x) % n_nodes] == x
+    while np.any(on):
+        x[on] = _canonical_array(np.nextafter(x[on], 1.0))
+        on[on] = field.angles[np.searchsorted(field.angles, x[on]) % n_nodes] == x[on]
+    out = field(x)
+    rel = edges[0] + (x - edges[0]) % 1.0
     p = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, n_panels - 1)
-    # the nodes of panels p - 1, p and p + 1 give way to the split kernel
-    local = ((p - 1) * _PANEL_NODES + fixed.first) % field.angles.size
-    out = field(rel, (local, np.full(xs.size, 3 * _PANEL_NODES)))
+    local = (p - 1) * _PANEL_NODES + fixed.first  # the first node of panel p - 1
     ext = np.concatenate(([edges[-2] - 1.0], edges, [edges[1] + 1.0]))
-    w_rho = np.roll(field.weights, -fixed.first).reshape(n_panels, _PANEL_NODES)
-    t = 2.0 * kernels._gl_rule(_PANEL_NODES)[0] - 1.0  # the nodes of [-1, 1]
     block = max(1, _BLOCK_DOUBLES // (3 * _PANEL_NODES))
-    for i in range(0, xs.size, block):
-        x = rel[i:i + block, None]
-        q = p[i:i + block, None] + np.arange(-1, 2)  # panels p - 1, p, p + 1
-        lo, hi = ext[q + 1], ext[q + 2]              # unwrapped across the seam
+    for i in range(0, x.size, block):
+        s = slice(i, i + block)
+        # the field's own pairs on panels p - 1, p and p + 1: the same doubles
+        # x and y, reduced as kernel_T reduces them, so log|t| cancels exactly
+        idx = (local[s, None] + np.arange(3 * _PANEL_NODES)) % n_nodes
+        t = x[s, None] - field.angles[idx]
+        t -= np.rint(t)
+        near = (field.weights[idx] * np.log(np.abs(t))).sum(axis=1)
+        q = p[s, None] + np.arange(-1, 2)  # panels p - 1, p, p + 1
+        lo, hi = ext[q + 1], ext[q + 2]    # unwrapped across the seam
         h = 0.5 * (hi - lo)
-        z = ((x - lo) - (hi - x)) / (hi - lo)
-        q %= n_panels
-        c = coef[q]
-        smooth = -np.log(2.0 * np.pi * np.sinc(h[..., None] * (z[..., None] - t)))
+        z = ((rel[s, None] - lo) - (hi - rel[s, None])) / (hi - lo)
+        c = coef[q % n_panels]
         logs = 2.0 * np.log(h) * c[..., 0] + (_log_moments(z.ravel()).reshape(c.shape) * c).sum(-1)
-        out[i:i + block] += np.einsum("tpj,tpj->t", smooth, w_rho[q]) - (h * logs).sum(axis=1)
+        out[s] += near - (h * logs).sum(axis=1)
     return out
 
 

@@ -109,7 +109,7 @@ class PolynomialSpec:
             if self.coeffs is not None and r.size != self.coeffs.size - 1:
                 raise DomainError("coefficients and roots disagree on the degree")
             object.__setattr__(self, "moduli", r)
-            object.__setattr__(self, "angles", (a + 0.5) % 1.0 - 0.5)
+            object.__setattr__(self, "angles", _canonical_array(a))
         if self.coeffs is None and self.moduli is None:
             raise DomainError("provide coefficients or roots")
 
@@ -414,8 +414,7 @@ def height_poly(f: PolynomialSpec) -> float:
 def empirical_from_roots(f: PolynomialSpec) -> EmpiricalMeasure:
     """Root-angle empirical measure (1/n per root; moduli ignored)."""
     f._require_roots()
-    n = f.degree
-    return EmpiricalMeasure.from_pairs(list(zip(f.angles.tolist(), [1.0 / n] * n)))
+    return EmpiricalMeasure(f.angles, np.full(f.degree, 1.0 / f.degree))
 
 
 def sector_count(f: PolynomialSpec, alpha: float, beta: float) -> int:
@@ -483,7 +482,7 @@ def schur_reduce(f: PolynomialSpec) -> PolynomialSpec:
 def count_at_angle(f: PolynomialSpec, theta: float) -> int:
     """Multiplicity-counted roots at the exact angle theta (within 1e-12 in angle)."""
     f._require_roots()
-    rel = np.abs((f.angles - theta + 0.5) % 1.0 - 0.5)
+    rel = np.abs(_canonical_array(f.angles - theta))
     return int(np.count_nonzero(rel <= 1e-12))
 
 
@@ -510,7 +509,7 @@ def rotate_poly(f: PolynomialSpec, phi: float) -> PolynomialSpec:
     """g(z) = f(z e^{2 pi i phi}): root angles shift by -phi, height unchanged."""
     f._require_roots()
     return PolynomialSpec(moduli=f.moduli.copy(),
-                          angles=(f.angles - phi + 0.5) % 1.0 - 0.5,
+                          angles=f.angles - phi,  # reduced by __post_init__
                           leading=f.leading * np.exp(2j * np.pi * phi * f.degree))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, IntervalTooCoarse, NonConvergence
 from .kernels import kernel_T
-from .measures import canonical_angle
+from .measures import _canonical_array, canonical_angle
 
 __all__ = [
     "GridDensity",
@@ -163,7 +163,7 @@ def _diffusion_window(rho: GridDensity, x0: float, eps: float):
     if 2 * k >= n:
         raise DomainError("window covers the whole circle")
     idx = (b0 - k + np.arange(2 * k)) % n
-    u = _canonical_diff((idx + 0.5) / n, b0 / n)
+    u = _canonical_array((idx + 0.5) / n - b0 / n)
     cell_mass = rho.values[idx] / n
     m1 = math.fsum((0.5 * (1.0 - u / (k / n)) * cell_mass).tolist())
     m2 = math.fsum((0.5 * (1.0 + u / (k / n)) * cell_mass).tolist())
@@ -190,10 +190,6 @@ def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
     new_diracs[right] = new_diracs.get(right, 0.0) + m2
     return GridDensity(new_values, tuple(sorted(new_diracs.items())),
                        rho.total_mass)
-
-
-def _canonical_diff(x: np.ndarray, x0: float) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - x0 + 0.5) % 1.0 - 0.5
 
 
 def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,

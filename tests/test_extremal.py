@@ -297,24 +297,29 @@ class TestDensityR:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam", [1.0, 1e-80, 2e-154])
-    @pytest.mark.parametrize("kind", ["II", "III"])
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
     def test_line_density_against_mpmath(self, kind, lam):
         # (u^2 - R^2)(u^2 - L^2) overflows from |u| ~ 1e77 on, and u^2 itself
         # from 1.3e154 on (t = 400 at the smallest lam with a normal square):
         # far out the density is about (1 - (R^2 + L^2)/2) / u^2, not inf;
-        # next to the support edges |u| = R and L it keeps its digits
-        mu = (AdmissibleDistR("II", lam, 2.0) if kind == "II"
-              else AdmissibleDistR("III", lam, 1.4, l_of_r(1.4)))
+        # next to the support edges |u| = R and L it keeps its digits.  Kind I
+        # is sqrt(u^2 - R^2) / |u| with R the double 1/pi, its support edge.
+        if kind == "I":
+            mu, R, L, pole = AdmissibleDistR("I", lam), 1.0 / math.pi, 0.0, 0
+        else:
+            mu = (AdmissibleDistR("II", lam, 2.0) if kind == "II"
+                  else AdmissibleDistR("III", lam, 1.4, l_of_r(1.4)))
+            R, L, pole = mu.R, mu.L, 1
         t = np.array([0.3, 0.1, 0.45 * lam, 1.3 * lam, 3.0 * lam, 400.0])
-        t = np.concatenate((t, lam * np.array([mu.R + 1e-12, mu.L - 1e-12])))
+        t = np.concatenate((t, lam * np.array([R + 1e-12, R * (1.0 + 1e-15), L - 1e-12])))
         got = admissible_density_line(mu, t)
         with mpmath.workdps(40):
-            R, L = mpmath.mpf(mu.R), mpmath.mpf(mu.L)
+            R, L = mpmath.mpf(R), mpmath.mpf(L)
             ref = []
             for u in (mpmath.mpf(float(x)) for x in t / lam):
-                inside = abs(u) >= R or abs(u) <= L
+                inside = abs(u) >= R or (L > 0 and abs(u) <= L)
                 ref.append(float(-1 + (mpmath.sqrt((u * u - R * R) * (u * u - L * L))
-                                       / abs(u * u - 1) if inside else 0)))
+                                       / abs(u * u - pole) if inside else 0)))
         assert np.all(np.abs(got - np.array(ref)) <= 1e-15)
 
     def test_mean_zero_and_decay(self):
@@ -396,6 +401,13 @@ class TestPeriodize:
         rho = periodize(AdmissibleDistR("I", 0.1))
         assert rho.diracs == ((0.0, pytest.approx(0.1)),)
         assert rho.mass() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kind1_at_the_smallest_lam(self):
+        # u = x / lam passes 1.3e154, where u^2 overflows, at every x
+        rho = periodize(AdmissibleDistR("I", 2e-154))
+        assert np.all(np.isfinite(rho.density_eval(np.linspace(-0.5, 0.5, 257))))
+        assert abs(rho.mass() - 1.0) <= 1e-12
 
     def test_kind2_height_identity(self):
         mu = AdmissibleDistR("II", 0.1, 2.0)

@@ -505,6 +505,20 @@ class TestJsonAndConstruction:
         with pytest.raises(DomainError):
             PolynomialSpec.from_coeffs([1.0])
 
+    def test_root_angles_reduced_once_and_exactly(self):
+        # an angle in [-1/2, 1/2) is stored as given, not rounded through
+        # x + 1/2 (3e-12 came back as 3.0000446571e-12, 1e-17 as 0.0)
+        angles = [3e-12, 1e-17, -1e-300, -0.0, 0.5, -0.5, 0.75, -0.3]
+        f = PolynomialSpec.from_roots([(1.0, a) for a in angles])
+        want = [3e-12, 1e-17, -1e-300, 0.0, -0.5, -0.5, -0.25, -0.3]
+        assert f.angles.tolist() == want
+        assert PolynomialSpec(moduli=f.moduli, angles=f.angles).angles.tolist() == want
+        assert rotate_poly(f, 0.0).angles.tolist() == want
+        rho = empirical_from_roots(f)
+        assert rho.angles.tolist() == sorted(set(want))
+        assert rho.weights.tolist() == [2 / 8] + [1 / 8] * 6
+        assert count_at_angle(f, 1e-17) == 3 and count_at_angle(f, 0.5) == 2
+
     @given(st.integers(min_value=1, max_value=16))
     @settings(max_examples=20, deadline=None)
     def test_sector_sweep_counts_everything(self, n):

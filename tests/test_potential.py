@@ -224,9 +224,9 @@ def _on_nodes(rho, step):
 def test_node_path_matches_dense_sum(name):
     """At the grid, the kinks and panel edges, at every 37th fixed node
     exactly, at the nodes next to every panel edge, and next to the seam and
-    the first kink, where the skipped panels cross the last node: a target on
-    a node is finite, since the box field never pairs it with the nodes of
-    its own three panels."""
+    the first kink, where the correction gathers the nodes of its three
+    panels across the last node: a target on a node is finite, since it
+    moves one ulp off the node."""
     rho = FAMILIES[name]()
     fixed = rho._fixed_nodes
     seam = np.array([-0.5, np.nextafter(0.5, 0.0), 0.5 - 1e-3, -0.5 + 1e-3,
@@ -234,8 +234,8 @@ def test_node_path_matches_dense_sum(name):
     xs = np.concatenate((_targets(rho), _on_nodes(rho, 37), seam))
     # the three panels around some of the seam targets run past the last node
     p = np.searchsorted(fixed.edges, fixed.edges[0] + (seam - fixed.edges[0]) % 1.0, "right") - 1
-    skip_lo = ((p - 1) * measures._PANEL_NODES + fixed.first) % fixed.field.angles.size
-    assert np.any(skip_lo + 3 * measures._PANEL_NODES > fixed.field.angles.size)
+    gather_lo = ((p - 1) * measures._PANEL_NODES + fixed.first) % fixed.field.angles.size
+    assert np.any(gather_lo + 3 * measures._PANEL_NODES > fixed.field.angles.size)
     got, want = rho.potential(xs), dense_density_potential(rho, xs)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -256,6 +256,40 @@ def test_node_path_evaluates_few_kernels(monkeypatch):
     monkeypatch.setattr(measures, "kernel_T", counting)
     rho.potential(xs)
     assert sum(evals) < xs.size * n_nodes / 4
+
+
+@pytest.mark.parametrize("name", ["type1_0.05", "periodized_III", "uniform_plus"])
+def test_density_cost_is_the_near_pairs_and_the_dirac_pairs(name, monkeypatch):
+    """A density call evaluates the kernel once per pair of the box field's
+    near windows and once per (target, Dirac) pair; its near panels add
+    none."""
+    rho = FAMILIES[name]()
+    xs = np.concatenate(((np.arange(2048) + 0.5) / 2048 - 0.5, _targets(rho)))
+    field = rho._fixed_nodes.field
+    box = ((xs + 0.5) % 1.0 * field.n_boxes).astype(np.int64)
+    want = int(field.near_len[box].sum()) + xs.size * len(rho.diracs)
+    evals = []
+
+    def counting(x):
+        evals.append(np.size(x))
+        return kernel_T(x)
+
+    monkeypatch.setattr(measures, "kernel_T", counting)
+    rho.potential(xs)
+    assert sum(evals) == want
+
+
+def test_every_node_as_a_target_where_nodes_are_two_ulps_apart():
+    """The end panels toward the kinks at +-0.4999 put distinct nodes 2 ulps
+    apart; a target on any node moves one ulp, onto no other node, and
+    matches the dense sum there."""
+    rho = rho_type2(0.3, 0.4999, 0.1)
+    ys = rho._fixed_nodes.field.angles
+    gaps = np.diff(ys)[np.diff(ys) > 0.0]
+    assert np.min(gaps / np.spacing(np.abs(ys[1:][np.diff(ys) > 0.0]))) == 2.0
+    got, want = rho.potential(ys), dense_density_potential(rho, ys)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1 - 1e-12, -(1 - 1e-12), 1.0, -1.0, 1 + 1e-12,
@@ -451,34 +485,6 @@ def test_near_windows_at_the_edges_match_dense_sum(case):
         assert np.all(length == rho.n_atoms)
     _assert_matches_dense(rho, xs)
     assert np.all(rho.potential(rho.angles) == np.inf)
-
-
-def test_skip_ranges_match_dense_sum_without_them():
-    """One skipped range of points per target: its pairs are never formed,
-    and the far field's share of it is taken back.  Ranges inside the near
-    window, around it, off it and across the seam of the point indices,
-    against the plain sum over the points off the range; a target on a
-    skipped point stays finite."""
-    rng = np.random.default_rng(31)
-    n, reach = 700, 80
-    angles = np.sort(rng.random(n) - 0.5)
-    weights = rng.random(n) + 0.1
-    weights /= weights.sum()
-    field = measures._BoxField.build(angles, weights, reach)
-    assert field.n_boxes == 32
-    on = np.array([0, 1, n - 1, 350])  # targets on these points, in their ranges
-    xs = np.concatenate((rng.random(300) - 0.5, angles[on]))
-    lo = np.concatenate((rng.integers(0, n, 150), rng.integers(n - reach, n, 150),
-                         [n - 2, 0, n - 40, 340]))
-    length = np.concatenate((rng.integers(0, reach + 1, 300), [reach, 5, reach, 20]))
-    assert np.sum(lo + length > n) >= 50
-    skipped = (np.arange(n) - lo[:, None]) % n < length[:, None]
-    assert np.all(skipped[np.arange(300, 304), on])
-    k = kernel_T(xs[:, None] - angles)
-    k[skipped] = 0.0
-    got = field(xs, (lo, length))
-    assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - k @ weights)) <= 1e-13
 
 
 def test_fewer_atoms_than_five_boxes_need_is_the_plain_sum():
