@@ -64,9 +64,7 @@ def _load(path: str, build):
 
 
 def _cmd_check_poly(args) -> int:
-    f = _load(args.file, polynomials.poly_from_json)
-    if not f.has_roots:
-        f = f.with_computed_roots()
+    f = _load(args.file, polynomials.poly_from_json).with_computed_roots()
     report = polynomials.check_et(f)
     _print_json(report.to_json(), args.precision, report.summary())
     return 0 if report.holds else 1

@@ -15,7 +15,7 @@ toward 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,22 +44,28 @@ __all__ = [
 ]
 
 
-def moment_match_cell(density, a: float, b: float) -> tuple[float, float]:
-    """Endpoint masses (m1 at a, m2 at b) matching mass and first moment.
+def _endpoint_masses(s0, s1, a, b):
+    """Masses (m1 at a, m2 at b) with the mass s0 and the first moment s1 of
+    a density on [a, b]: m2 = (s1 - a s0)/(b - a) and m1 = s0 - m2, both
+    nonnegative since a nonnegative density's centroid lies in [a, b].
+    Scalars or arrays, one cell per entry; a mass below -1e-10 max(1, |s0|)
+    raises ``NegativeDensity``."""
+    m2 = (s1 - a * s0) / (b - a)
+    m1 = s0 - m2
+    if np.any(np.minimum(m1, m2) < -1e-10 * np.maximum(1.0, np.abs(s0))):
+        raise NegativeDensity("moment masses came out negative; density must be >= 0")
+    return m1, m2
 
-    density is a vectorized nonnegative function on [a, b]; the 2x2 moment
-    system gives m1 = (b S0 - S1)/(b-a), m2 = (S1 - a S0)/(b-a), both
-    nonnegative since the density's centroid lies in [a, b].
-    """
+
+def moment_match_cell(density, a: float, b: float) -> tuple[float, float]:
+    """Endpoint masses (m1 at a, m2 at b) matching mass and first moment,
+    clamped at 0 (``_endpoint_masses``); density is a vectorized nonnegative
+    function on [a, b]."""
     if not b > a:
         raise DomainError(f"need b > a, got [{a}, {b}]")
     s0 = kernels.integrate_piece(density, a, b)
     s1 = kernels.integrate_piece(lambda x: np.asarray(x, dtype=float) * density(x), a, b)
-    m1 = (b * s0 - s1) / (b - a)
-    m2 = (s1 - a * s0) / (b - a)
-    if min(m1, m2) < -1e-10 * max(1.0, abs(s0)):
-        raise NegativeDensity(
-            f"moment masses came out negative (m1={m1}, m2={m2}); density must be >= 0")
+    m1, m2 = _endpoint_masses(s0, s1, a, b)
     return max(m1, 0.0), max(m2, 0.0)
 
 
@@ -67,13 +73,12 @@ def discretize_measure(rho: MixedMeasureT, n: int) -> EmpiricalMeasure:
     """Replace the density of rho by endpoint masses on the grid {j/n}.
 
     Dirac atoms are kept verbatim (the customary atom at 0 sits on a cell
-    boundary and is excluded from cell integrals).  Each cell [a, b] gives
-    its endpoints the masses m1 = (b S0 - S1)/(b - a) and m2 = (S1 - a S0)/(b - a)
-    of its 0th and 1st moments S0 and S1, all cells at once from the density's
-    cumulative at the n + 1 grid edges (``_FixedNodes.cumulative``), so the
-    density is read only at its fixed nodes.  Grid points whose mass is not
-    positive are dropped, and a cell whose endpoint masses come out negative
-    raises ``NegativeDensity``.  Total mass is preserved to ~1e-12.
+    boundary and is excluded from cell integrals).  Each cell gives its
+    endpoints the masses of its 0th and 1st moments (``_endpoint_masses``),
+    all cells at once from the density's cumulative at the n + 1 grid edges
+    (``_FixedNodes.cumulative``), so the density is read only at its fixed
+    nodes.  Grid points whose mass is not positive are dropped.  Total mass
+    is preserved to ~1e-12.
     """
     if n < 2:
         raise DomainError("need at least 2 cells")
@@ -83,11 +88,7 @@ def discretize_measure(rho: MixedMeasureT, n: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(pos, mass)
     edges = np.arange(n + 1) / n
     c0, c1 = fixed.cumulative(edges)
-    s0, s1 = np.diff(c0), np.diff(c1)
-    m2 = (s1 - edges[:-1] * s0) / np.diff(edges)
-    m1 = s0 - m2
-    if np.any(np.minimum(m1, m2) < -1e-10 * np.maximum(1.0, np.abs(s0))):
-        raise NegativeDensity("moment masses came out negative; density must be >= 0")
+    m1, m2 = _endpoint_masses(np.diff(c0), np.diff(c1), edges[:-1], edges[1:])
     grid_mass = m1 + np.roll(m2, 1)  # point j/n takes m1 of cell j and m2 of cell j - 1
     keep = grid_mass > 0.0
     return EmpiricalMeasure(np.concatenate((pos, edges[:-1][keep])),
@@ -193,11 +194,7 @@ class SharpnessReport:
     polynomial: StageMetrics | None = None
 
     def to_json(self) -> dict:
-        def enc(s):
-            return None if s is None else {"D": s.D, "H": s.H, "G": s.G}
-        return {"m": self.m, "n": self.n, "q": self.q,
-                "continuum": enc(self.continuum), "discrete": enc(self.discrete),
-                "rational": enc(self.rational), "polynomial": enc(self.polynomial)}
+        return asdict(self)
 
 
 def _stage_metrics(rho: EmpiricalMeasure | MixedMeasureT, grid_n: int) -> StageMetrics:

@@ -14,7 +14,7 @@ rho, which is how the circle-measure optimum transfers to this setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class GaneliusReport:
     ratio: float
 
     def to_json(self) -> dict:
-        return {"H": self.H, "K": self.K, "osc_v": self.osc_v,
-                "bound": self.bound, "holds": self.holds, "ratio": self.ratio}
+        return asdict(self)
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "VIOLATED"

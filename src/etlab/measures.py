@@ -10,7 +10,7 @@ The functionals:
 
 * ``discrepancy_*``   sup over closed arcs of (mass in arc - arc length)
 * ``height_T``        -min of the log-kernel potential W * rho
-* ``g_ratio``         height / discrepancy**alpha
+* ``g_ratio``         height / discrepancy**2
 * ``h_tilde/d_tilde/g_tilde``   the line-side analogues on AdmissibleDistR
 
 Potentials take a scalar or an array.  One engine, ``_BoxField``, sums the
@@ -358,13 +358,15 @@ def discrepancy_empirical(rho: EmpiricalMeasure) -> tuple[float, IntervalT]:
     theta = rho.angles
     w = rho.weights
     prefix = np.cumsum(w)
-    a_vals = prefix - theta
-    b_vals = np.concatenate(([0.0], prefix[:-1])) - theta
-    j = int(np.argmax(a_vals))
-    i = int(np.argmin(b_vals))
-    value = float(a_vals[j] - b_vals[i])
-    length = (theta[j] - theta[i]) % 1.0 if i != j else 0.0
-    return value, IntervalT(theta[i], length)
+    return _arc_scan(theta, prefix - theta, np.concatenate(([0.0], prefix[:-1])) - theta)
+
+
+def _arc_scan(t: np.ndarray, a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[float, IntervalT]:
+    """max A - min B over the scan points t, and the arc from the point of
+    min B to the point of max A, its length kept below 1."""
+    j, i = int(np.argmax(a_vals)), int(np.argmin(b_vals))
+    length = float((t[j] - t[i]) % 1.0) if i != j else 0.0
+    return float(a_vals[j] - b_vals[i]), IntervalT(t[i], min(length, 1.0 - 1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +942,8 @@ def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
     pos, dirac_cum = pos[order], np.concatenate(([0.0], np.cumsum(mass[order])))
     t = pos if fixed is None else np.concatenate((fixed.edges, _crossings(fixed, 1.0), pos))
     density = 0.0 if fixed is None else fixed.cumulative(t)[0]
-    a_vals = density + dirac_cum[np.searchsorted(pos, t, side="right")] - (t - base)
-    b_vals = density + dirac_cum[np.searchsorted(pos, t, side="left")] - (t - base)
-    j, i = int(np.argmax(a_vals)), int(np.argmin(b_vals))
-    length = float((t[j] - t[i]) % 1.0) if i != j else 0.0
-    return float(a_vals[j] - b_vals[i]), IntervalT(t[i], min(length, 1.0 - 1e-15))
+    return _arc_scan(t, density + dirac_cum[np.searchsorted(pos, t, side="right")] - (t - base),
+                     density + dirac_cum[np.searchsorted(pos, t, side="left")] - (t - base))
 
 
 def _crossings(fixed: _FixedNodes, level: float) -> np.ndarray:
@@ -1021,8 +1020,8 @@ def _nearest_atom_distance(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
                       np.abs(_canonical_array(xs - theta[right])))
 
 
-def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024) -> float:
-    """height / discrepancy**alpha for a circle probability measure.
+def g_ratio(rho, grid_n: int = 1024) -> float:
+    """G = height / discrepancy**2 for a circle probability measure.
 
     A discrepancy within 1e-14 of 0, the rounding of the mixed scan's O(1)
     cumulative masses, counts as vanishing.
@@ -1034,7 +1033,7 @@ def g_ratio(rho, alpha: float = 2.0, grid_n: int = 1024) -> float:
     if d <= 1e-14:
         raise ZeroDiscrepancy("discrepancy vanishes; ratio undefined")
     h, _ = height_T(rho, grid_n)
-    return h / d**alpha
+    return h / d**2
 
 
 # ---------------------------------------------------------------------------

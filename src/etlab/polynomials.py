@@ -17,7 +17,7 @@ D <= sqrt(2) sqrt(H).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -445,11 +445,7 @@ class EtReport:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "D": self.D, "H": self.H, "bound": self.bound,
-            "witness": {"start": self.witness.start, "length": self.witness.length},
-            "margin": self.margin, "holds": self.holds,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "VIOLATED"

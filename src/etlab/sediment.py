@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from .discretize import _endpoint_masses
 from .errors import DomainError, IntervalTooCoarse, NonConvergence
 from .kernels import kernel_T
-from .measures import _canonical_array, canonical_angle
+from .measures import GridBackedDensity, MixedMeasureT, _canonical_array, canonical_angle
 
 __all__ = [
     "GridDensity",
@@ -147,11 +147,11 @@ def energy(rho: GridDensity, u: ExternalPotentialSpec) -> float:
 
 def _diffusion_window(rho: GridDensity, x0: float, eps: float):
     """The window (x0 - eps, x0 + eps) snapped to the cell lattice, as
-    (b0, k, idx, u, m1, m2): its center b0 / n and half-width k / n, its
-    cells idx, their centers' offsets u from b0 / n, and the endpoint masses
-    m1 at (b0 - k) / n and m2 at (b0 + k) / n that match the window's 0th
-    and 1st moments.  The window must span at least 8 cells and less than
-    half the circle."""
+    (b0, k, idx, m1, m2): its center b0 / n and half-width k / n, its cells
+    idx, and the endpoint masses m1 at (b0 - k) / n and m2 at (b0 + k) / n
+    that match the window's 0th and 1st moments about its center
+    (``discretize._endpoint_masses``).  The window must span at least 8 cells
+    and less than half the circle."""
     n = rho.n_cells
     if not eps < 0.5:
         raise DomainError("eps must be < 1/2")
@@ -165,9 +165,9 @@ def _diffusion_window(rho: GridDensity, x0: float, eps: float):
     idx = (b0 - k + np.arange(2 * k)) % n
     u = _canonical_array((idx + 0.5) / n - b0 / n)
     cell_mass = rho.values[idx] / n
-    m1 = math.fsum((0.5 * (1.0 - u / (k / n)) * cell_mass).tolist())
-    m2 = math.fsum((0.5 * (1.0 + u / (k / n)) * cell_mass).tolist())
-    return b0, k, idx, u, m1, m2
+    m1, m2 = _endpoint_masses(math.fsum(cell_mass.tolist()),
+                              math.fsum((u * cell_mass).tolist()), -k / n, k / n)
+    return b0, k, idx, m1, m2
 
 
 def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
@@ -180,7 +180,7 @@ def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
     moment are conserved to rounding.
     """
     n = rho.n_cells
-    b0, k, idx, _, m1, m2 = _diffusion_window(rho, x0, eps)
+    b0, k, idx, m1, m2 = _diffusion_window(rho, x0, eps)
     new_values = rho.values.copy()
     new_values[idx] = 0.0
     new_diracs = dict(rho.diracs)
@@ -195,23 +195,19 @@ def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
 def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
                                     x) -> np.ndarray:
     """Potential of (endpoint masses - removed window density) at points x,
-    for the window of ``micro_diffuse`` and with its checks.
+    for the window of ``micro_diffuse`` and with its checks: the potential of
+    one signed ``MixedMeasureT``, the two endpoint Diracs and the window's
+    cells negated.
 
-    Convexity of the kernel makes this nonnegative outside the closed window;
-    per-cell 32-node Gauss-Legendre keeps the quadrature error well below the
-    1e-9 assertion threshold used by the verification suite.
+    Convexity of the kernel makes this nonnegative outside the closed window.
     """
     n = rho.n_cells
-    b0, k, idx, u, m1, m2 = _diffusion_window(rho, x0, eps)
-    x0_eff, eps_eff = b0 / n, k / n
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = m1 * kernel_T(xs - (x0_eff - eps_eff)) + m2 * kernel_T(xs - (x0_eff + eps_eff))
-    nodes, weights = kernels._gl_rule(32)
-    lows = x0_eff + u - 0.5 / n
-    ys = lows[:, None] + nodes[None, :] / n
-    vals = kernel_T(xs[:, None, None] - ys[None, :, :]) @ weights
-    out -= (vals * rho.values[idx][None, :] / n).sum(axis=1)
-    return out
+    b0, k, idx, m1, m2 = _diffusion_window(rho, x0, eps)
+    removed = np.zeros(n)
+    removed[idx] = -rho.values[idx]
+    ends = (((b0 - k) / n, m1), ((b0 + k) / n, m2))
+    signed = MixedMeasureT(tuple((a, m) for a, m in ends if m > 0.0), GridBackedDensity(removed))
+    return signed.potential(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

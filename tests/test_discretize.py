@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import assert_sharp_inequality
 from graded_quadrature import integrate_piece
 from etlab.discretize import (
+    _endpoint_masses,
     discretize_measure,
     moment_match_cell,
     move_to_slab_midpoints,
@@ -75,6 +76,38 @@ class TestMomentMatch:
         s1 = integrate_piece(lambda x: np.asarray(x) * dens(x), a, b)
         assert m1 + m2 == pytest.approx(s0, abs=1e-12)
         assert m1 * a + m2 * b == pytest.approx(s1, abs=1e-12)
+
+
+class TestEndpointMasses:
+    def test_scalar_reproduces_moments(self):
+        a, b, s0, s1 = 0.25, 0.375, 0.1, 0.03
+        m1, m2 = _endpoint_masses(s0, s1, a, b)
+        assert m1 + m2 == pytest.approx(s0, abs=1e-16)
+        assert m1 * a + m2 * b == pytest.approx(s1, abs=1e-16)
+
+    def test_array_reproduces_moments(self, rng):
+        edges = np.sort(rng.random(65))
+        a, b = edges[:-1], edges[1:]
+        s0 = rng.random(64)
+        s1 = s0 * (a + rng.random(64) * (b - a))  # centroids inside the cells
+        m1, m2 = _endpoint_masses(s0, s1, a, b)
+        assert np.all(np.minimum(m1, m2) >= 0.0)
+        np.testing.assert_allclose(m1 + m2, s0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m1 * a + m2 * b, s1, rtol=0, atol=1e-15)
+
+    def test_negative_mass_threshold(self):
+        """On [0, 1], m2 = s1 exactly: -1e-10 s0 passes (s0 >= 1), the next
+        double below raises, in a scalar and in one entry of an array."""
+        s0 = 4.0
+        edge = -1e-10 * s0
+        past = np.nextafter(edge, -1.0)
+        assert _endpoint_masses(s0, edge, 0.0, 1.0)[1] == edge
+        with pytest.raises(NegativeDensity):
+            _endpoint_masses(s0, past, 0.0, 1.0)
+        s0s = np.full(3, s0)
+        _endpoint_masses(s0s, np.array([1.0, edge, 2.0]), 0.0, 1.0)
+        with pytest.raises(NegativeDensity):
+            _endpoint_masses(s0s, np.array([1.0, past, 2.0]), 0.0, 1.0)
 
 
 def per_cell_oracle(rho: MixedMeasureT, n: int) -> EmpiricalMeasure:

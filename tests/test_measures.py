@@ -436,9 +436,6 @@ class TestMixed:
     def test_g_ratio_dirac(self):
         m = EmpiricalMeasure.from_pairs([(0.0, 1.0)])
         assert g_ratio(m, grid_n=512) == pytest.approx(math.log(2.0), abs=1e-9)
-        # alpha is a runtime exponent; D = 1 makes every alpha agree here
-        assert g_ratio(m, alpha=1.0, grid_n=512) == pytest.approx(
-            math.log(2.0), abs=1e-9)
 
     def test_grid_backed_discrepancy(self):
         from etlab.measures import GridBackedDensity

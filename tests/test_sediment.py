@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,6 +103,54 @@ class TestEnergy:
         assert w[-1] == pytest.approx(0.5)  # k = -1
 
 
+def new_endpoint_diracs(rho, x0, eps):
+    """(left, m1, right, m2): micro_diffuse's two new endpoint Diracs, as
+    angles, for a window on cells that carried none."""
+    n = rho.n_cells
+    b0, k = round(x0 * n), round(eps * n)
+    d = dict(micro_diffuse(rho, x0, eps).diracs)
+    return (b0 - k) / n, d[(b0 - k) % n], (b0 + k) / n, d[(b0 + k) % n]
+
+
+def clausen_replacement_potential(rho, x0, eps, x) -> float:
+    """diffusion_replacement_potential at x to 40 digits: each endpoint Dirac
+    of mass m gives m W(x - y), and the cell of value c on [a, b] that it
+    removes gives -c (Cl2(2 pi (x - a)) - Cl2(2 pi (x - b))) / (2 pi), the
+    integral of sum_k cos(2 pi k (x - y)) / k over y in [a, b]."""
+    n = rho.n_cells
+    left, m1, right, m2 = new_endpoint_diracs(rho, x0, eps)
+    b0, k = round(x0 * n), round(eps * n)
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+
+        def w(y):
+            return -mpmath.log(abs(2 * mpmath.sin(mpmath.pi * (xm - mpmath.mpf(y)))))
+
+        out = mpmath.mpf(m1) * w(left) + mpmath.mpf(m2) * w(right)
+        for j in range(b0 - k, b0 + k):
+            a, b = mpmath.mpf(j) / n, mpmath.mpf(j + 1) / n
+            out -= mpmath.mpf(rho.values[j % n]) * (
+                mpmath.clsin(2, 2 * mpmath.pi * (xm - a))
+                - mpmath.clsin(2, 2 * mpmath.pi * (xm - b))) / (2 * mpmath.pi)
+        return float(out)
+
+
+def gauss_legendre_replacement_potential(rho, x0, eps, xs) -> np.ndarray:
+    """The per-cell rule diffusion_replacement_potential used before it went
+    through the potential engine: the endpoint Diracs minus 32 Gauss-Legendre
+    nodes on every window cell.  Accurate at targets half a cell or more
+    outside the window."""
+    n = rho.n_cells
+    left, m1, right, m2 = new_endpoint_diracs(rho, x0, eps)
+    b0, k = round(x0 * n), round(eps * n)
+    out = m1 * kernels.kernel_T(xs - left) + m2 * kernels.kernel_T(xs - right)
+    nodes, weights = kernels._gl_rule(32)
+    cells = np.arange(b0 - k, b0 + k)
+    ys = (cells[:, None] + nodes[None, :]) / n
+    vals = kernels.kernel_T(xs[:, None, None] - ys[None, :, :]) @ weights
+    return out - vals @ (rho.values[cells % n] / n)
+
+
 class TestMicroDiffuse:
     def test_uniform_window_splits_evenly(self):
         n = 512
@@ -171,6 +220,34 @@ class TestMicroDiffuse:
             outside = rel > eps + 1e-9
             delta = diffusion_replacement_potential(rho, x0, eps, xs[outside])
             assert float(delta.min()) >= -1e-9
+
+
+    def test_replacement_potential_matches_clausen_oracle(self, rng):
+        """To 1e-14 of 40 digits at 1e-9, 1e-6 and 1e-3 outside both window
+        edges, where a fixed per-cell rule loses digits (32 Gauss-Legendre
+        nodes are 9e-7 off at 1e-9), and at the far point."""
+        n, b0, k = 256, 70, 12
+        rho = GridDensity(rng.random(n) + 0.05)
+        x0, eps = b0 / n, k / n
+        gaps = np.array([1e-9, 1e-6, 1e-3])
+        xs = np.concatenate(((b0 - k) / n - gaps, (b0 + k) / n + gaps, [x0 + 0.5]))
+        got = diffusion_replacement_potential(rho, x0, eps, xs)
+        want = [clausen_replacement_potential(rho, x0, eps, x) for x in xs]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_replacement_potential_matches_per_cell_gauss_legendre(self, rng):
+        xs = (np.arange(2048) + 0.5) / 2048
+        for n in (256, 512):
+            vals = rng.random(n) + 0.05
+            rho = GridDensity(vals)
+            b0 = int(rng.integers(0, n))
+            k = int(rng.integers(4, 20))
+            x0, eps = b0 / n, k / n
+            rel = np.abs((xs - x0 + 0.5) % 1.0 - 0.5)
+            outside = xs[rel >= eps + 0.5 / n]
+            got = diffusion_replacement_potential(rho, x0, eps, outside)
+            want = gauss_legendre_replacement_potential(rho, x0, eps, outside)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestMinimize:

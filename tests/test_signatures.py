@@ -17,6 +17,7 @@ DELETED = {
     "measures.AdmissibleDistR": ("m",),
     "measures.PeriodizedDensity": ("lattice_terms", "cheb_nodes"),
     "measures.discrepancy_mixed": ("grid",),
+    "measures.g_ratio": ("alpha",),
     "extremal.l_of_r": ("tol",),
     "extremal.periodize": ("lattice_terms",),
     "extremal.rho_type1": ("check_mass",),
