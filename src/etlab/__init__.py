@@ -3,7 +3,7 @@ root distributions, with the extremal constructions that realize the sharp
 sqrt(2) constant relating them."""
 
 from .errors import EtLabError
-from .kernels import integrate_sqrt_endpoints, kernel_R, kernel_T
+from .kernels import integrate_sqrt_endpoints, kernel_T
 from .measures import (
     AdmissibleDistR,
     EmpiricalMeasure,
@@ -64,7 +64,7 @@ __all__ = [
     "d_tilde", "discrepancy_empirical", "discrepancy_mixed",
     "discrepancy_poly", "discretize_measure", "energy", "g_ratio",
     "g_tilde", "ganelius_check", "h_tilde", "height_T", "height_poly",
-    "integrate_sqrt_endpoints", "kernel_R", "kernel_T", "l_of_r",
+    "integrate_sqrt_endpoints", "kernel_T", "l_of_r",
     "make_admissible", "max_log_modulus", "measure_from_json",
     "measure_to_json", "micro_diffuse", "minimize_energy",
     "moment_match_cell", "periodize", "phi", "r_critical", "rationalize",

@@ -91,17 +91,13 @@ def _cmd_extremal(args) -> int:
         raise EtLabError("--R applies to kinds 2 and 3 only")
     if args.kind != 1 and args.m is not None:
         raise EtLabError("--m applies to kind 1 only")
-    if args.kind == 1:
-        mu = measures.AdmissibleDistR("I", args.lam)
-    else:
-        if args.R is None:
-            raise EtLabError("kinds 2 and 3 require --R")
-        mu = extremal.make_admissible(args.R, args.lam)
-        want = "II" if args.kind == 2 else "III"
-        if mu.kind != want:
-            raise EtLabError(
-                f"R = {args.R} selects kind {mu.kind} (critical radius "
-                f"{extremal.r_critical():.6f}); pass --kind {1 if mu.kind == 'I' else (2 if mu.kind == 'II' else 3)}")
+    if args.kind != 1 and args.R is None:
+        raise EtLabError("kinds 2 and 3 require --R")
+    mu = extremal.make_admissible(args.R, args.lam)
+    if mu.kind != ("I", "II", "III")[args.kind - 1]:
+        raise EtLabError(
+            f"R = {args.R} selects kind {mu.kind} (critical radius "
+            f"{extremal.r_critical():.6f}); pass --kind {2 if mu.kind == 'II' else 3}")
     report = {
         "kind": mu.kind, "lambda": mu.lam, "R": mu.R, "L": mu.L, "m": mu.m,
         "h_tilde": measures.h_tilde(mu),
@@ -176,8 +172,7 @@ def _cmd_ganelius(args) -> int:
 
 
 def _cmd_periodize(args) -> int:
-    mu = (measures.AdmissibleDistR("I", args.lam) if args.R is None
-          else extremal.make_admissible(args.R, args.lam))
+    mu = extremal.make_admissible(args.R, args.lam)
     rho = extremal.periodize(mu)
     h_circle, _ = measures.height_T(rho, args.grid_n)
     h_line = measures.h_tilde(mu)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect
-from .errors import DomainError, NegativeDensity, NonRationalWeights, QTooSmall
+from .errors import DomainError, NegativeDensity, QTooSmall
 from .extremal import rho_type1
 from .measures import (
     EmpiricalMeasure,
@@ -30,7 +30,7 @@ from .measures import (
     discrepancy_mixed,
     height_T,
 )
-from .polynomials import check_et, synthesize_poly
+from .polynomials import _numerators, check_et, synthesize_poly
 
 __all__ = [
     "moment_match_cell",
@@ -152,9 +152,7 @@ def move_to_slab_midpoints(rho_q: EmpiricalMeasure, q: int) -> EmpiricalMeasure:
     The numerators, the atom count and the atom at 0 are kept, so wherever
     the Dirac atom alone attains the discrepancy, D is unchanged.
     """
-    p = np.rint(rho_q.weights * q).astype(np.int64)
-    if np.any(np.abs(rho_q.weights * q - p) > 1e-9 * q) or p.sum() != q:
-        raise NonRationalWeights("weights are not p_j/q with numerators summing to q")
+    p = _numerators(rho_q.weights, q)
     at_zero = rho_q.angles == 0.0
     p0 = int(p[at_zero].sum())
     if p0 == q:

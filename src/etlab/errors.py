@@ -37,10 +37,6 @@ class ZeroDiscrepancy(EtLabError):
     """Ratio functional undefined: the discrepancy vanishes."""
 
 
-class AtDirac(EtLabError):
-    """Pointwise density requested exactly at a Dirac location."""
-
-
 class LambdaTooLarge(EtLabError):
     """Scaling factor violates the periodization preconditions."""
 

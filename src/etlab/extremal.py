@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from ._search import bisect
-from .errors import AtDirac, DomainError, LambdaTooLarge
+from .errors import DomainError, LambdaTooLarge
 from .measures import (
     AdmissibleDistR,
     MixedMeasureT,
@@ -34,7 +34,6 @@ from .measures import (
     TypeIITDensity,
     _canonical_array,
     _crossings,
-    admissible_density_line,
     d_tilde,
     h_tilde,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "r_critical",
     "l_of_r",
     "make_admissible",
-    "density_R",
     "rho_type1",
     "rho_type2",
     "periodize",
@@ -129,14 +127,6 @@ def make_admissible(R: float | None, lam: float = 1.0) -> AdmissibleDistR:
     if R >= rc:
         return AdmissibleDistR("II", lam, R)
     return AdmissibleDistR("III", lam, R, l_of_r(R))
-
-
-def density_R(mu: AdmissibleDistR, x: float) -> float:
-    """Pointwise scaled line density (background included); raises at Diracs."""
-    for pos, _ in mu.dirac_positions_masses():
-        if abs(x - pos) <= 1e-15 * max(1.0, abs(pos)):
-            raise AtDirac(f"x = {x} is a Dirac location")
-    return float(admissible_density_line(mu, np.array([x]))[0])
 
 
 def rho_type1(m: float) -> MixedMeasureT:

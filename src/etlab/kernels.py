@@ -28,7 +28,6 @@ from .errors import DegenerateInterval, NonFinite, PoleOnBoundary
 
 __all__ = [
     "kernel_T",
-    "kernel_R",
     "integrate_piece",
     "integrate_sqrt_endpoints",
     "pv_sqrt_composite",
@@ -79,16 +78,6 @@ def kernel_T(x):
     with np.errstate(divide="ignore"):
         np.log(out, out=out)
     np.negative(out, out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def kernel_R(x):
-    """Line kernel -log|x|; +inf at 0."""
-    arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = -np.log(np.abs(arr))
     if out.ndim == 0:
         return float(out)
     return out

@@ -62,8 +62,6 @@ __all__ = [
     "h_tilde",
     "d_tilde",
     "g_tilde",
-    "h_tilde_quadrature",
-    "d_tilde_quadrature",
     "admissible_density_line",
     "measure_to_json",
     "measure_from_json",
@@ -155,9 +153,6 @@ class EmpiricalMeasure:
 
     def is_probability(self, tol: float = 1e-12) -> bool:
         return abs(self.total - 1.0) <= tol
-
-    def rotated(self, phi: float) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(_canonical_array(self.angles + phi), self.weights.copy())
 
     def potential(self, x) -> np.ndarray | float:
         """(W * rho)(x) at a scalar or at every point of an array; +inf
@@ -492,14 +487,6 @@ class UniformPlusDensity:
         phase = 2.0 * np.pi * np.multiply.outer(xs, k)
         return 1.0 + np.cos(phase) @ self.cos_coeffs + np.sin(phase) @ self.sin_coeffs
 
-    def potential_exact(self, x) -> np.ndarray:
-        """Closed-form W * rho using the cosine expansion of the kernel."""
-        xs = np.asarray(x, dtype=float)
-        k = np.arange(1, self.cos_coeffs.size + 1)
-        phase = 2.0 * np.pi * np.multiply.outer(xs, k)
-        return np.cos(phase) @ (self.cos_coeffs / (2.0 * k)) \
-            + np.sin(phase) @ (self.sin_coeffs / (2.0 * k))
-
     def pieces(self) -> list[tuple[float, float]]:
         return [(-0.5, 0.5)]
 
@@ -584,8 +571,7 @@ class AdmissibleDistR:
 def admissible_density_line(mu: AdmissibleDistR, t) -> np.ndarray:
     """Pointwise scaled density (background -1 included, Diracs excluded).
 
-    Vectorized and silent about Dirac locations; the scalar, raising variant
-    is ``extremal.density_R``.
+    Vectorized and silent about Dirac locations.
     """
     au = np.abs(np.asarray(t, dtype=float) / mu.lam)
     out = np.full_like(au, -1.0)
@@ -643,7 +629,7 @@ class PeriodizedDensity:
     for the outer support edge E (n = 1 within the lambda gate of ``periodize``,
     where E <= 0.661): the rest have every kink at least 4/3 from the centre and
     come from one Chebyshev interpolant, fitted once per measure from the sum
-    over n < |j| <= 400 and its tail.  ``evaluate_direct`` sums |j| <= 400 and the tail.
+    over n < |j| <= 400 and its tail.
     """
 
     def __init__(self, mu: AdmissibleDistR):
@@ -657,11 +643,6 @@ class PeriodizedDensity:
         nodes = 0.5 * _cheb_nodes(_FAR_NODES)
         self._far = _cheb_fit(_lattice_sum(mu, nodes, np.concatenate((-far[::-1], far)))
                               + _lattice_tail(mu, nodes))
-
-    def evaluate_direct(self, x) -> np.ndarray:
-        xs = np.atleast_1d(_canonical_array(x))
-        return 1.0 + _lattice_sum(self.mu, xs, np.arange(-_LATTICE_J, _LATTICE_J + 1)) \
-            + _lattice_tail(self.mu, xs)
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.atleast_1d(_canonical_array(x))
@@ -1081,50 +1062,6 @@ def d_tilde(mu: AdmissibleDistR) -> float:
 def g_tilde(mu: AdmissibleDistR) -> float:
     """h_tilde / d_tilde^2; invariant under the scaling factor."""
     return h_tilde(mu) / d_tilde(mu) ** 2
-
-
-def h_tilde_quadrature(mu: AdmissibleDistR) -> float:
-    """h_tilde through the principal-value moment integral (no closed forms).
-
-    Kind I integrates the semicircle profile directly; kinds II/III integrate
-    -2 x (potential)' across the support gap, which carries a pole at 1.
-    """
-    lam2 = mu.lam**2
-    if mu.kind == "I":
-        invpi = 1.0 / math.pi
-
-        def f(y):
-            y = np.asarray(y, dtype=float)
-            return np.sqrt(np.maximum(invpi**2 - y * y, 0.0))
-
-        return lam2 * math.pi * kernels.integrate_sqrt_endpoints(f, -invpi, invpi)
-    R, L = mu.R, mu.L or 0.0
-
-    def g(x):  # the integrand times (x - 1)
-        x = np.asarray(x, dtype=float)
-        return x * np.sqrt(np.maximum((R - x) * (R + x) * (x - L) * (x + L), 0.0)) / (x + 1.0)
-
-    return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0)
-
-
-def d_tilde_quadrature(mu: AdmissibleDistR) -> float:
-    """d_tilde by integrating the density over the closed unit window."""
-    if mu.kind == "I":
-        return mu.lam
-    unscaled = mu.with_lam(1.0)
-
-    def dens(x):
-        return admissible_density_line(unscaled, x)
-
-    L = unscaled.L or 0.0
-    parts = [2.0 * unscaled.m]
-    if L > 0.0:
-        parts.append(kernels.integrate_piece(dens, -L, L))
-        parts.append(kernels.integrate_piece(dens, L, 1.0))
-        parts.append(kernels.integrate_piece(dens, -1.0, -L))
-    else:
-        parts.append(kernels.integrate_piece(dens, -1.0, 1.0))
-    return mu.lam * math.fsum(parts)
 
 
 # ---------------------------------------------------------------------------

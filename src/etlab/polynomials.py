@@ -166,15 +166,6 @@ class PolynomialSpec:
             leading=complex(c[-1]),
         )
 
-    def expanded_coeffs(self) -> np.ndarray:
-        """a_0 .. a_n from the root form (conditioning limits apply)."""
-        if self.coeffs is not None:
-            return self.coeffs
-        c = np.array([1.0 + 0.0j])
-        for z in self.roots_complex():
-            c = np.convolve(c, np.array([-z, 1.0 + 0.0j]))
-        return c * self.leading
-
     def log_a0_an_magnitude(self) -> float:
         """log |a_0 a_n| without expanding the root product; stays finite
         where |a_0 a_n| itself overflows (e.g. |a_n| = 1e308)."""
@@ -509,19 +500,28 @@ def rotate_poly(f: PolynomialSpec, phi: float) -> PolynomialSpec:
                           leading=f.leading * np.exp(2j * np.pi * phi * f.degree))
 
 
+def _numerators(weights: np.ndarray, q: int) -> np.ndarray:
+    """The integer numerators p_j = rint(w_j q) of weights w_j = p_j / q.
+
+    Raises NonRationalWeights unless each w_j q is within 1e-9 q of p_j and
+    the p_j sum to q.
+    """
+    wq = weights * q
+    p = np.rint(wq).astype(np.int64)
+    if np.any(np.abs(wq - p) > 1e-9 * q):
+        raise NonRationalWeights("weights are not integer multiples of 1/q")
+    if p.sum() != q:
+        raise NonRationalWeights(f"numerators sum to {p.sum()}, expected {q}")
+    return p
+
+
 def synthesize_poly(rho: EmpiricalMeasure, q: int) -> PolynomialSpec:
     """Monic unimodular-root polynomial of degree q realizing rho.
 
     Every weight must equal p_j / q exactly (within 1e-9 of an integer
     numerator) with the numerators summing to q.
     """
-    numerators = rho.weights * q
-    p = np.rint(numerators).astype(int)
-    if np.any(np.abs(numerators - p) > 1e-9 * q):
-        raise NonRationalWeights("weights are not integer multiples of 1/q")
-    if p.sum() != q:
-        raise NonRationalWeights(f"numerators sum to {p.sum()}, expected {q}")
-    angles = np.repeat(rho.angles, p)
+    angles = np.repeat(rho.angles, _numerators(rho.weights, q))
     return PolynomialSpec(moduli=np.ones(q), angles=angles, leading=1.0 + 0.0j)
 
 

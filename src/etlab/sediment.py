@@ -31,7 +31,6 @@ __all__ = [
     "ExternalPotentialSpec",
     "spectral_kernel_coefficients",
     "energy",
-    "total_potential",
     "micro_diffuse",
     "diffusion_replacement_potential",
     "minimize_energy",
@@ -127,11 +126,6 @@ def _interaction_potential(values: np.ndarray) -> np.ndarray:
     """(W * rho) at the cell centers, spectrally; the center phases cancel."""
     n = values.size
     return np.fft.irfft(_half_symbol(n) * np.fft.rfft(values), n)
-
-
-def total_potential(rho: GridDensity, u: ExternalPotentialSpec) -> np.ndarray:
-    """V_U = U + W * rho at the cell centers (density part of rho only)."""
-    return u.on_grid(rho.n_cells) + _interaction_potential(rho.values)
 
 
 def energy(rho: GridDensity, u: ExternalPotentialSpec) -> float:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
+from reference_oracles import d_tilde_quadrature, h_tilde_quadrature
 from test_sediment import direct_energy_from_coefficients
 
 from etlab.discretize import sharpness_pipeline
@@ -35,10 +36,8 @@ from etlab.harmonic import (
 from etlab.measures import (
     AdmissibleDistR,
     d_tilde,
-    d_tilde_quadrature,
     g_tilde,
     h_tilde,
-    h_tilde_quadrature,
     height_T,
 )
 from etlab.polynomials import PolynomialSpec, check_et, discrepancy_poly, height_poly

@@ -15,7 +15,6 @@ from etlab.errors import (
 from etlab.kernels import (
     integrate_piece,
     integrate_sqrt_endpoints,
-    kernel_R,
     kernel_T,
     pv_sqrt_composite,
 )
@@ -54,12 +53,6 @@ class TestKernels:
         assert kernel_T(0.25) == pytest.approx(-0.5 * math.log(2.0), abs=1e-15)
         assert kernel_T(0.0) == math.inf
         assert kernel_T(1.0) == math.inf
-
-    def test_line_kernel_values(self):
-        assert kernel_R(1.0) == 0.0
-        assert kernel_R(math.e) == pytest.approx(-1.0, abs=1e-15)
-        assert kernel_R(-2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
-        assert kernel_R(0.0) == math.inf
 
     @given(st.floats(min_value=-50.0, max_value=50.0,
                      allow_nan=False, allow_infinity=False))

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graded_quadrature as graded
+from reference_oracles import potential_exact
 from etlab import kernels, measures
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
 from etlab.errors import NegativeDensity
@@ -115,7 +116,7 @@ def test_matches_oracle_on_grid_kinks_and_panel_edges(name):
 def test_uniform_plus_matches_closed_form():
     rho = FAMILIES["uniform_plus"]()
     xs = np.concatenate((np.linspace(-0.5, 0.5, 257), _targets(rho)))
-    assert np.max(np.abs(rho.potential(xs) - rho.density.potential_exact(xs))) <= 1e-9
+    assert np.max(np.abs(rho.potential(xs) - potential_exact(rho.density, xs))) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["type1_0.2", "type2", "periodized_III"])
