@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the 20-row reference grid and diff it against the stored values.
+"""Regenerate the 20-row reference grid and diff it against the printed values
+(``etlab.extremal.TABLE1_PRINTED``).
 
 Usage: python scripts/reproduce_table.py [--out table.csv]
 Exits nonzero if any entry drifts past the acceptance tolerances.
@@ -8,20 +9,7 @@ Exits nonzero if any entry drifts past the acceptance tolerances.
 import argparse
 import sys
 
-from etlab.extremal import table1, table1_csv
-
-STORED = {
-    0: (1.1000, 0.0986, 0.3188, 0.5765), 1: (1.1292, 0.1645, 0.4135, 0.6290),
-    2: (1.1592, 0.2495, 0.5114, 0.6650), 3: (1.1900, 0.3550, 0.6125, 0.6906),
-    4: (1.2216, 0.4824, 0.7170, 0.7090), 5: (1.2541, 0.6331, 0.8248, 0.7225),
-    6: (1.2874, 0.8088, 0.9361, 0.7323), 7: (1.3216, 1.0111, 1.0509, 0.7394),
-    8: (1.3567, 1.2417, 1.1694, 0.7445), 9: (1.3927, 1.5025, 1.2915, 0.7479),
-    10: (1.4297, 1.7954, 1.4174, 0.7500), 11: (1.4677, 2.1224, 1.5472, 0.7512),
-    12: (1.5067, 2.4858, 1.6809, 0.7515), 13: (1.5467, 2.8879, 1.8187, 0.7512),
-    14: (1.5878, 3.3312, 1.9607, 0.7504), 15: (1.6300, 3.8188, 2.1070, 0.7492),
-    16: (1.6733, 4.3538, 2.2577, 0.7477), 17: (1.7177, 4.9404, 2.4131, 0.7459),
-    18: (1.7633, 5.5844, 2.5736, 0.7437), 19: (1.8102, 6.3003, 2.7403, None),
-}
+from etlab.extremal import TABLE1_PRINTED, table1, table1_csv
 
 
 def main() -> int:
@@ -31,7 +19,7 @@ def main() -> int:
     rows = table1()
     worst_h = worst_d = worst_r = 0.0
     for row in rows:
-        _, H, D, ratio = STORED[row.k]
+        _, H, D, ratio = TABLE1_PRINTED[row.k]
         worst_h = max(worst_h, abs(row.H - H))
         worst_d = max(worst_d, abs(row.D - D))
         if ratio is not None:

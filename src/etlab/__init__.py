@@ -7,6 +7,7 @@ from .kernels import integrate_sqrt_endpoints, kernel_T
 from .measures import (
     AdmissibleDistR,
     EmpiricalMeasure,
+    GridBackedDensity,
     IntervalT,
     MixedMeasureT,
     canonical_angle,
@@ -48,7 +49,6 @@ from .discretize import (
 )
 from .sediment import (
     ExternalPotentialSpec,
-    GridDensity,
     energy,
     micro_diffuse,
     minimize_energy,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleDistR", "EmpiricalMeasure", "EtLabError", "EtReport",
-    "ExternalPotentialSpec", "GridDensity", "IntervalT", "MixedMeasureT",
+    "ExternalPotentialSpec", "GridBackedDensity", "IntervalT", "MixedMeasureT",
     "PolynomialSpec", "canonical_angle", "check_et", "conjugate_pair",
     "d_tilde", "discrepancy_empirical", "discrepancy_mixed",
     "discrepancy_poly", "discretize_measure", "energy", "g_ratio",

@@ -49,7 +49,7 @@ __all__ = [
     "Table1Row",
     "table1",
     "table1_csv",
-    "TABLE1_R_GRID",
+    "TABLE1_PRINTED",
 ]
 
 
@@ -195,12 +195,21 @@ def _nearest(radii: np.ndarray, target: float) -> float | None:
     return float(radii[np.argmin(np.abs(radii - target))]) if radii.size else None
 
 
-# Printed R grid of the reference table; inputs are data, the spacing rule is
-# not derived.  The last entry is the critical radius to the printed digits.
-TABLE1_R_GRID = (
-    1.1000, 1.1292, 1.1592, 1.1900, 1.2216, 1.2541, 1.2874, 1.3216, 1.3567,
-    1.3927, 1.4297, 1.4677, 1.5067, 1.5467, 1.5878, 1.6300, 1.6733, 1.7177,
-    1.7633, 1.8102,
+# The reference table as printed, one row (R, H, D, ratio) per k; the ratio
+# is H_k / D_{k+1}^2, None on the last row.  The R grid is input data, its
+# spacing rule not derived; the last R is the critical radius to the printed
+# digits.  table1() computes H, D and ratio at each R.
+TABLE1_PRINTED = (
+    (1.1000, 0.0986, 0.3188, 0.5765), (1.1292, 0.1645, 0.4135, 0.6290),
+    (1.1592, 0.2495, 0.5114, 0.6650), (1.1900, 0.3550, 0.6125, 0.6906),
+    (1.2216, 0.4824, 0.7170, 0.7090), (1.2541, 0.6331, 0.8248, 0.7225),
+    (1.2874, 0.8088, 0.9361, 0.7323), (1.3216, 1.0111, 1.0509, 0.7394),
+    (1.3567, 1.2417, 1.1694, 0.7445), (1.3927, 1.5025, 1.2915, 0.7479),
+    (1.4297, 1.7954, 1.4174, 0.7500), (1.4677, 2.1224, 1.5472, 0.7512),
+    (1.5067, 2.4858, 1.6809, 0.7515), (1.5467, 2.8879, 1.8187, 0.7512),
+    (1.5878, 3.3312, 1.9607, 0.7504), (1.6300, 3.8188, 2.1070, 0.7492),
+    (1.6733, 4.3538, 2.2577, 0.7477), (1.7177, 4.9404, 2.4131, 0.7459),
+    (1.7633, 5.5844, 2.5736, 0.7437), (1.8102, 6.3003, 2.7403, None),
 )
 
 
@@ -218,7 +227,7 @@ def table1() -> list[Table1Row]:
     H_k / D_{k+1}^2, all computed from the kind-III family (the last row sits
     at the critical radius, where the curve parameter L reaches 0)."""
     rows_hd = []
-    for k, R in enumerate(TABLE1_R_GRID):
+    for k, (R, *_) in enumerate(TABLE1_PRINTED):
         mu = make_admissible(R)
         rows_hd.append((k, R, h_tilde(mu), d_tilde(mu)))
     rows = []

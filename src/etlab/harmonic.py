@@ -29,7 +29,6 @@ __all__ = [
     "ganelius_check",
     "triangular_mollifier",
     "mollified_type1_samples",
-    "random_nonneg_trig_samples",
 ]
 
 
@@ -134,22 +133,3 @@ def mollified_type1_samples(m: float, grid_n: int = 4096,
         psi = triangular_mollifier(ts, a) * weights * (hi - lo)
         out += rho.density_eval(theta[:, None] - ts[None, :]) @ psi
     return out
-
-
-def random_nonneg_trig_samples(rng: np.random.Generator, grid_n: int = 2048) -> np.ndarray:
-    """Mean-1 nonnegative trig-polynomial samples for the verification corpus.
-
-    The degree is drawn from 1..32, coefficients with a 1/k taper, and the
-    fluctuation is rescaled so the density dips to 1 - 0.95 > 0; K = max(1 - rho)
-    stays positive.
-    """
-    deg = int(rng.integers(1, 33))
-    k = np.arange(1, deg + 1)
-    a = rng.normal(size=deg) / k
-    b = rng.normal(size=deg) / k
-    theta = np.arange(grid_n) / grid_n
-    phase = 2.0 * np.pi * np.outer(theta, k)
-    g = np.cos(phase) @ a + np.sin(phase) @ b
-    g -= g.mean()
-    span = max(float(-g.min()), float(g.max()), 1e-9)
-    return 1.0 + g * (0.95 / span)

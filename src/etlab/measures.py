@@ -453,6 +453,11 @@ class GridBackedDensity:
     def n_cells(self) -> int:
         return int(self.values.size)
 
+    @property
+    def centers(self) -> np.ndarray:
+        n = self.n_cells
+        return (np.arange(n) + 0.5) / n
+
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float) % 1.0
         idx = np.minimum((xs * self.n_cells).astype(int), self.n_cells - 1)
@@ -530,6 +535,8 @@ class AdmissibleDistR:
             return
         if self.R is None or not 1.0 < self.R < math.inf:
             raise DomainError(f"kinds II/III require a finite R > 1, got {self.R}")
+        if self.kind == "II" and self.L not in (None, 0.0):
+            raise DomainError(f"kind II takes no L (or L = 0), got {self.L}")
         L = 0.0 if self.kind == "II" else self.L
         if self.kind == "III" and (L is None or not (0.0 < L < 1.0)):
             raise DomainError("kind III requires 0 < L < 1")
@@ -539,9 +546,6 @@ class AdmissibleDistR:
         except OverflowError:
             raise DomainError(f"R = {self.R} gives a Dirac mass that is not finite") from None
         object.__setattr__(self, "m", m)
-
-    def with_lam(self, lam: float) -> "AdmissibleDistR":
-        return AdmissibleDistR(self.kind, lam, self.R, self.L)
 
     def dirac_positions_masses(self) -> list[tuple[float, float]]:
         """Scaled Dirac atoms: (position, mass)."""

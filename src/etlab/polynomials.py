@@ -133,10 +133,6 @@ class PolynomialSpec:
             return int(self.moduli.size)
         return int(self.coeffs.size - 1)
 
-    def roots_complex(self) -> np.ndarray:
-        self._require_roots()
-        return self.moduli * np.exp(2j * np.pi * self.angles)
-
     def _require_roots(self) -> None:
         if not self.has_roots:
             raise RootsUnavailable(

@@ -1,6 +1,6 @@
 """Grid-based energy minimization on the circle with frozen Dirac potentials.
 
-The state is a cell-averaged density on a power-of-two grid.  The interaction
+The state is a ``GridBackedDensity`` on a power-of-two grid.  The interaction
 energy is computed spectrally with kernel coefficients 1/(2|k|) (the cosine
 expansion of -log|2 sin(pi x)| is sum cos(2 pi k x)/k, so each exponential
 mode carries half of 1/k); an independent quadrature route validates this in
@@ -27,7 +27,6 @@ from .kernels import kernel_T
 from .measures import GridBackedDensity, MixedMeasureT, _canonical_array, canonical_angle
 
 __all__ = [
-    "GridDensity",
     "ExternalPotentialSpec",
     "spectral_kernel_coefficients",
     "energy",
@@ -40,41 +39,6 @@ __all__ = [
 def _check_power_of_two(n: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise DomainError(f"n_cells must be a power of two, got {n}")
-
-
-@dataclass(frozen=True, eq=False)
-class GridDensity:
-    """Cell-averaged nonnegative density plus point masses at cell boundaries.
-
-    Cell k covers [k/n, (k+1)/n); a Dirac entry (k, mass) sits at the left
-    boundary k/n.  values/n summed with the Dirac masses equals total_mass.
-    """
-
-    values: np.ndarray
-    diracs: tuple[tuple[int, float], ...] = ()
-    total_mass: float | None = None
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        _check_power_of_two(v.size)
-        if np.any(v < -1e-12):
-            raise DomainError("cell values must be nonnegative")
-        object.__setattr__(self, "values", np.maximum(v, 0.0))
-        total = math.fsum(v.tolist()) / v.size + math.fsum(m for _, m in self.diracs)
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", total)
-        elif abs(total - self.total_mass) > 1e-10:
-            raise DomainError(
-                f"mass bookkeeping off: cells+diracs = {total}, declared {self.total_mass}")
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def centers(self) -> np.ndarray:
-        n = self.n_cells
-        return (np.arange(n) + 0.5) / n
 
 
 @dataclass(frozen=True)
@@ -128,25 +92,35 @@ def _interaction_potential(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(_half_symbol(n) * np.fft.rfft(values), n)
 
 
-def energy(rho: GridDensity, u: ExternalPotentialSpec) -> float:
+def energy(rho: GridBackedDensity, u: ExternalPotentialSpec) -> float:
     """mean(rho (W * rho / 2 + U)), which by Parseval is
     (1/2) sum_{k!=0} What(k) |rho_hat(k)|^2 + mean(U * rho).
 
-    Uses the density part only; Dirac self-energy is infinite and the Dirac
-    configuration is carried by U.
+    The Dirac configuration is carried by U; a Dirac's self-energy would be
+    infinite.
     """
     w_rho = _interaction_potential(rho.values)
     return float(np.mean(rho.values * (0.5 * w_rho + u.on_grid(rho.n_cells))))
 
 
-def _diffusion_window(rho: GridDensity, x0: float, eps: float):
-    """The window (x0 - eps, x0 + eps) snapped to the cell lattice, as
-    (b0, k, idx, m1, m2): its center b0 / n and half-width k / n, its cells
-    idx, and the endpoint masses m1 at (b0 - k) / n and m2 at (b0 + k) / n
-    that match the window's 0th and 1st moments about its center
-    (``discretize._endpoint_masses``).  The window must span at least 8 cells
-    and less than half the circle."""
-    n = rho.n_cells
+def micro_diffuse(rho: GridBackedDensity, x0: float, eps: float) -> MixedMeasureT:
+    """Replace the density on (x0 - eps, x0 + eps) by endpoint masses matching
+    the 0th and 1st moments: the endpoint Diracs of positive mass plus the
+    cells with the window emptied.
+
+    The window snaps to the cell lattice, its center to b0 / n and its
+    half-width to k / n; it must span at least 8 cells and less than half the
+    circle.  A cell below -1e-12 raises ``DomainError``; the cells in
+    [-1e-12, 0) count as 0.  The endpoint masses m1 at (b0 - k) / n and m2 at
+    (b0 + k) / n match the window's moments about its center
+    (``discretize._endpoint_masses``).  For piecewise-constant densities the
+    midpoint sums are the exact moment integrals, so mass and first moment
+    are conserved to rounding.
+    """
+    if np.any(rho.values < -1e-12):
+        raise DomainError("cell values must be nonnegative")
+    values = np.maximum(rho.values, 0.0)
+    n = values.size
     if not eps < 0.5:
         raise DomainError("eps must be < 1/2")
     b0 = int(round(canonical_angle(x0) * n))
@@ -158,49 +132,25 @@ def _diffusion_window(rho: GridDensity, x0: float, eps: float):
         raise DomainError("window covers the whole circle")
     idx = (b0 - k + np.arange(2 * k)) % n
     u = _canonical_array((idx + 0.5) / n - b0 / n)
-    cell_mass = rho.values[idx] / n
+    cell_mass = values[idx] / n
     m1, m2 = _endpoint_masses(math.fsum(cell_mass.tolist()),
                               math.fsum((u * cell_mass).tolist()), -k / n, k / n)
-    return b0, k, idx, m1, m2
+    values[idx] = 0.0
+    ends = (((b0 - k) / n, m1), ((b0 + k) / n, m2))
+    return MixedMeasureT(tuple((a, m) for a, m in ends if m > 0.0), GridBackedDensity(values))
 
 
-def micro_diffuse(rho: GridDensity, x0: float, eps: float) -> GridDensity:
-    """Replace the density on (x0 - eps, x0 + eps) by endpoint masses matching
-    the 0th and 1st moments.
-
-    x0 and eps snap to the cell lattice; the window must span at least 8
-    cells and less than half the circle.  For piecewise-constant densities
-    the midpoint sums are the exact moment integrals, so mass and first
-    moment are conserved to rounding.
-    """
-    n = rho.n_cells
-    b0, k, idx, m1, m2 = _diffusion_window(rho, x0, eps)
-    new_values = rho.values.copy()
-    new_values[idx] = 0.0
-    new_diracs = dict(rho.diracs)
-    left = (b0 - k) % n
-    right = (b0 + k) % n
-    new_diracs[left] = new_diracs.get(left, 0.0) + m1
-    new_diracs[right] = new_diracs.get(right, 0.0) + m2
-    return GridDensity(new_values, tuple(sorted(new_diracs.items())),
-                       rho.total_mass)
-
-
-def diffusion_replacement_potential(rho: GridDensity, x0: float, eps: float,
+def diffusion_replacement_potential(rho: GridBackedDensity, x0: float, eps: float,
                                     x) -> np.ndarray:
     """Potential of (endpoint masses - removed window density) at points x,
     for the window of ``micro_diffuse`` and with its checks: the potential of
-    one signed ``MixedMeasureT``, the two endpoint Diracs and the window's
-    cells negated.
+    one signed ``MixedMeasureT``, the endpoint Diracs of ``micro_diffuse``
+    and the cells of its result minus rho's.
 
     Convexity of the kernel makes this nonnegative outside the closed window.
     """
-    n = rho.n_cells
-    b0, k, idx, m1, m2 = _diffusion_window(rho, x0, eps)
-    removed = np.zeros(n)
-    removed[idx] = -rho.values[idx]
-    ends = (((b0 - k) / n, m1), ((b0 + k) / n, m2))
-    signed = MixedMeasureT(tuple((a, m) for a, m in ends if m > 0.0), GridBackedDensity(removed))
+    out = micro_diffuse(rho, x0, eps)
+    signed = MixedMeasureT(out.diracs, GridBackedDensity(out.density.values - rho.values))
     return signed.potential(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
@@ -262,7 +212,7 @@ def _solve_on(support: np.ndarray, u_grid: np.ndarray, mass: float) -> np.ndarra
 
 def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
                     iters: int, tol: float | None = None,
-                    trace: list | None = None) -> tuple[GridDensity, float]:
+                    trace: list | None = None) -> tuple[GridBackedDensity, float]:
     """The sediment state of mass ``mass`` by primal-dual active set
     (Hintermueller, Ito & Kunisch 2002): from the full circle, solve for rho on
     the support S with V_U = U + W * rho = lam there and rho = 0 off it, then
@@ -302,4 +252,4 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
     if not settled or (tol is not None and residual > tol):
         warnings.warn(NonConvergence(f"residual {residual:.3e} after {step} active-set "
                                      f"steps{'' if settled else ', support still moving'}"))
-    return GridDensity(rho, (), mass), residual
+    return GridBackedDensity(rho), residual

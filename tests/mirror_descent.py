@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 
 from etlab.errors import DomainError, NonConvergence
+from etlab.measures import GridBackedDensity
 from etlab.sediment import (
     ExternalPotentialSpec,
-    GridDensity,
     _check_power_of_two,
     spectral_kernel_coefficients,
 )
@@ -24,7 +24,7 @@ from etlab.sediment import (
 def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
                     iters: int, tol: float | None = None,
                     trace: list | None = None,
-                    trace_every: int = 50) -> tuple[GridDensity, float]:
+                    trace_every: int = 50) -> tuple[GridBackedDensity, float]:
     """Mirror descent toward the sediment state in the mass-``mass`` simplex.
 
     Multiplicative-weights updates keep the cell masses positive and
@@ -85,4 +85,4 @@ def minimize_energy(u: ExternalPotentialSpec, mass: float, n_cells: int,
         warnings.warn(NonConvergence(
             f"residual {residual:.3e} still above tol {tol:.3e} after {iters} "
             "iterations"))
-    return GridDensity(p * n, (), mass), residual
+    return GridBackedDensity(p * n), residual

@@ -46,11 +46,15 @@ def h_tilde_quadrature(mu: AdmissibleDistR) -> float:
     return lam2 * 2.0 * math.pi * kernels.pv_sqrt_composite(g, L, R, 1.0)
 
 
+def with_lam(mu: AdmissibleDistR, lam: float) -> AdmissibleDistR:
+    return AdmissibleDistR(mu.kind, lam, mu.R, mu.L)
+
+
 def d_tilde_quadrature(mu: AdmissibleDistR) -> float:
     """d_tilde by integrating the density over the closed unit window."""
     if mu.kind == "I":
         return mu.lam
-    unscaled = mu.with_lam(1.0)
+    unscaled = with_lam(mu, 1.0)
 
     def dens(x):
         return admissible_density_line(unscaled, x)

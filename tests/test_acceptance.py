@@ -15,11 +15,12 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from reference_oracles import d_tilde_quadrature, h_tilde_quadrature
+from test_harmonic import random_nonneg_trig_samples
 from test_sediment import direct_energy_from_coefficients
 
 from etlab.discretize import sharpness_pipeline
 from etlab.extremal import (
-    TABLE1_R_GRID,
+    TABLE1_PRINTED,
     l_of_r,
     make_admissible,
     periodize,
@@ -28,13 +29,11 @@ from etlab.extremal import (
     rho_type1,
     table1,
 )
-from etlab.harmonic import (
-    ganelius_check,
-    mollified_type1_samples,
-    random_nonneg_trig_samples,
-)
+from etlab.harmonic import ganelius_check, mollified_type1_samples
 from etlab.measures import (
     AdmissibleDistR,
+    GridBackedDensity,
+    canonical_angle,
     d_tilde,
     g_tilde,
     h_tilde,
@@ -43,22 +42,11 @@ from etlab.measures import (
 from etlab.polynomials import PolynomialSpec, check_et, discrepancy_poly, height_poly
 from etlab.sediment import (
     ExternalPotentialSpec,
-    GridDensity,
     diffusion_replacement_potential,
     energy,
     micro_diffuse,
     minimize_energy,
 )
-
-PAPER_H = [0.0986, 0.1645, 0.2495, 0.3550, 0.4824, 0.6331, 0.8088, 1.0111,
-           1.2417, 1.5025, 1.7954, 2.1224, 2.4858, 2.8879, 3.3312, 3.8188,
-           4.3538, 4.9404, 5.5844, 6.3003]
-PAPER_D = [0.3188, 0.4135, 0.5114, 0.6125, 0.7170, 0.8248, 0.9361, 1.0509,
-           1.1694, 1.2915, 1.4174, 1.5472, 1.6809, 1.8187, 1.9607, 2.1070,
-           2.2577, 2.4131, 2.5736, 2.7403]
-PAPER_RATIO = [0.5765, 0.6290, 0.6650, 0.6906, 0.7090, 0.7225, 0.7323, 0.7394,
-               0.7445, 0.7479, 0.7500, 0.7512, 0.7515, 0.7512, 0.7504, 0.7492,
-               0.7477, 0.7459, 0.7437]
 
 
 def _announce(line: str) -> None:
@@ -87,14 +75,15 @@ def test_criterion_01_table():
     rows = table1()
     elapsed = time.time() - t0
     for row in rows:
-        assert abs(row.H - PAPER_H[row.k]) <= 2e-3, f"H mismatch at k={row.k}"
-        assert abs(row.D - PAPER_D[row.k]) <= 2e-3, f"D mismatch at k={row.k}"
+        _, H, D, ratio = TABLE1_PRINTED[row.k]
+        assert abs(row.H - H) <= 2e-3, f"H mismatch at k={row.k}"
+        assert abs(row.D - D) <= 2e-3, f"D mismatch at k={row.k}"
         if row.k <= 18:
-            assert abs(row.ratio - PAPER_RATIO[row.k]) <= 1e-3, \
+            assert abs(row.ratio - ratio) <= 1e-3, \
                 f"ratio mismatch at k={row.k}"
             assert row.ratio > 0.5
     assert elapsed <= 60.0, f"table took {elapsed:.1f}s"
-    return f"max|dH|={max(abs(r.H - PAPER_H[r.k]) for r in rows):.1e}, {elapsed:.1f}s"
+    return f"max|dH|={max(abs(r.H - TABLE1_PRINTED[r.k][1]) for r in rows):.1e}, {elapsed:.1f}s"
 
 
 @criterion(2, "critical radius to 4 decimals and PV consistency")
@@ -211,7 +200,7 @@ def test_criterion_09_energy():
         scale = 0.9 / max(1.0, float(np.abs(a).sum() + np.abs(b).sum()))
         a, b = a * scale, b * scale
         phases = 2.0 * np.pi * np.outer(centers, kk)
-        rho = GridDensity(1.0 + np.cos(phases) @ a + np.sin(phases) @ b)
+        rho = GridBackedDensity(1.0 + np.cos(phases) @ a + np.sin(phases) @ b)
         diff = abs(energy(rho, ExternalPotentialSpec())
                    - direct_energy_from_coefficients(a, b))
         assert diff <= 1e-6, f"energy mismatch {diff}"
@@ -227,7 +216,7 @@ def test_criterion_10_micro_diffusion():
     for _ in range(50):
         n = int(rng.choice([256, 512]))
         vals = rng.random(n) + 0.05
-        rho = GridDensity(vals)
+        rho = GridBackedDensity(vals)
         b0 = int(rng.integers(0, n))
         k = int(rng.integers(4, max(5, n // 16)))
         x0, eps = b0 / n, k / n
@@ -236,7 +225,7 @@ def test_criterion_10_micro_diffusion():
         u = ((idx + 0.5) / n - x0 + 0.5) % 1.0 - 0.5
         cm = vals[idx] / n
         d = dict(out.diracs)
-        m1, m2 = d[(b0 - k) % n], d[(b0 + k) % n]
+        m1, m2 = d[canonical_angle((b0 - k) / n)], d[canonical_angle((b0 + k) / n)]
         mass_err = abs((m1 + m2) - math.fsum(cm.tolist()))
         mom_err = abs(eps * (m2 - m1) - math.fsum((cm * u).tolist()))
         assert mass_err <= 1e-12 and mom_err <= 1e-12, \
@@ -287,7 +276,7 @@ def test_criterion_12_property_suites():
         ds.append(d_tilde(mu))
     assert np.all(np.diff(hs) > 0.0) and np.all(np.diff(ds) > 0.0)
     # closed-form envelopes on the table grid
-    for R in TABLE1_R_GRID:
+    for R, *_ in TABLE1_PRINTED:
         mu = (AdmissibleDistR("II", 1.0, R) if R >= rc
               else make_admissible(float(R)))
         L = mu.L or 0.0

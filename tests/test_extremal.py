@@ -11,7 +11,7 @@ from reference_oracles import evaluate_direct
 from etlab import measures
 from etlab.errors import DomainError, LambdaTooLarge
 from etlab.extremal import (
-    TABLE1_R_GRID,
+    TABLE1_PRINTED,
     l_of_r,
     make_admissible,
     periodize,
@@ -31,30 +31,6 @@ from etlab.measures import (
     h_tilde,
     height_T,
 )
-
-PAPER_TABLE = {
-    # k: (R, H, D, ratio H_k / D_{k+1}^2)
-    0: (1.1000, 0.0986, 0.3188, 0.5765),
-    1: (1.1292, 0.1645, 0.4135, 0.6290),
-    2: (1.1592, 0.2495, 0.5114, 0.6650),
-    3: (1.1900, 0.3550, 0.6125, 0.6906),
-    4: (1.2216, 0.4824, 0.7170, 0.7090),
-    5: (1.2541, 0.6331, 0.8248, 0.7225),
-    6: (1.2874, 0.8088, 0.9361, 0.7323),
-    7: (1.3216, 1.0111, 1.0509, 0.7394),
-    8: (1.3567, 1.2417, 1.1694, 0.7445),
-    9: (1.3927, 1.5025, 1.2915, 0.7479),
-    10: (1.4297, 1.7954, 1.4174, 0.7500),
-    11: (1.4677, 2.1224, 1.5472, 0.7512),
-    12: (1.5067, 2.4858, 1.6809, 0.7515),
-    13: (1.5467, 2.8879, 1.8187, 0.7512),
-    14: (1.5878, 3.3312, 1.9607, 0.7504),
-    15: (1.6300, 3.8188, 2.1070, 0.7492),
-    16: (1.6733, 4.3538, 2.2577, 0.7477),
-    17: (1.7177, 4.9404, 2.4131, 0.7459),
-    18: (1.7633, 5.5844, 2.5736, 0.7437),
-    19: (1.8102, 6.3003, 2.7403, None),
-}
 
 
 def kernel_R(x):
@@ -215,7 +191,7 @@ class TestCurve:
         ls = [l_of_r(float(R)) for R in rs]
         assert np.all(np.diff(ls) < 0.0)
 
-    @pytest.mark.parametrize("R", [TABLE1_R_GRID[0], TABLE1_R_GRID[9], TABLE1_R_GRID[18]])
+    @pytest.mark.parametrize("R", [TABLE1_PRINTED[k][0] for k in (0, 9, 18)])
     def test_residual_against_mpmath(self, R):
         assert abs(mpmath_phi(l_of_r(R), R)) <= 1e-12
 
@@ -541,7 +517,7 @@ class TestTable:
         rows = table1()
         assert len(rows) == 20
         for row in rows:
-            R, H, D, ratio = PAPER_TABLE[row.k]
+            R, H, D, ratio = TABLE1_PRINTED[row.k]
             assert row.R == R
             assert row.H == pytest.approx(H, abs=2e-3)
             assert row.D == pytest.approx(D, abs=2e-3)
@@ -562,7 +538,7 @@ class TestTable:
         # closed-form envelope: H >= pi^2 (R^2-L^2)^2 / (8 (R+1) R) and
         # D <= pi (1-L)(1 + 2(1-L)/pi)
         rc = r_critical()
-        for R in TABLE1_R_GRID[:-1]:
+        for R, *_ in TABLE1_PRINTED[:-1]:
             L = l_of_r(R) if R < rc else 0.0
             mu = AdmissibleDistR("III", 1.0, R, L) if R < rc \
                 else AdmissibleDistR("II", 1.0, R)

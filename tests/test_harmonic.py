@@ -9,7 +9,6 @@ from etlab.harmonic import (
     conjugate_pair,
     ganelius_check,
     mollified_type1_samples,
-    random_nonneg_trig_samples,
     triangular_mollifier,
 )
 from etlab.measures import MixedMeasureT, UniformPlusDensity, discrepancy_mixed, height_T
@@ -17,6 +16,25 @@ from etlab.measures import MixedMeasureT, UniformPlusDensity, discrepancy_mixed,
 
 GRID = 4096
 THETA = np.arange(GRID) / GRID
+
+
+def random_nonneg_trig_samples(rng: np.random.Generator, grid_n: int = 2048) -> np.ndarray:
+    """Mean-1 nonnegative trig-polynomial samples for the verification corpus.
+
+    The degree is drawn from 1..32, coefficients with a 1/k taper, and the
+    fluctuation is rescaled so the density dips to 1 - 0.95 > 0; K = max(1 - rho)
+    stays positive.
+    """
+    deg = int(rng.integers(1, 33))
+    k = np.arange(1, deg + 1)
+    a = rng.normal(size=deg) / k
+    b = rng.normal(size=deg) / k
+    theta = np.arange(grid_n) / grid_n
+    phase = 2.0 * np.pi * np.outer(theta, k)
+    g = np.cos(phase) @ a + np.sin(phase) @ b
+    g -= g.mean()
+    span = max(float(-g.min()), float(g.max()), 1e-9)
+    return 1.0 + g * (0.95 / span)
 
 
 class TestConjugatePair:

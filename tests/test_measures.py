@@ -604,6 +604,21 @@ class TestLineFunctionals:
         with pytest.raises(DomainError):
             AdmissibleDistR("III", 1.0, 1.4, 1.2)
 
+    @pytest.mark.parametrize("L", [0.3, -0.2, 1e-300, math.nan])
+    def test_kind_2_rejects_an_L(self, L):
+        with pytest.raises(DomainError):
+            AdmissibleDistR("II", 0.1, 2.5, L)
+        with pytest.raises(DomainError):
+            measure_from_json({"diracs": [], "family": {
+                "tag": "Periodized", "params": {"kind": "II", "lambda": 0.1, "R": 2.5, "L": L}}})
+
+    def test_kind_2_takes_L_none_or_zero(self):
+        for L in (None, 0.0):
+            assert AdmissibleDistR("II", 0.1, 2.5, L).L == 0.0
+        doc = json.loads(json.dumps(measure_to_json(periodize(AdmissibleDistR("II", 0.1, 2.5)))))
+        assert doc["family"]["params"]["L"] == 0.0
+        assert measure_from_json(doc).density.mu.L == 0.0
+
 
 class TestSerialization:
     def test_empirical_roundtrip(self):

@@ -10,9 +10,9 @@ import mirror_descent
 from etlab import kernels, sediment
 from etlab.errors import DomainError, IntervalTooCoarse, NonConvergence
 from etlab.extremal import rho_type1, rho_type2
+from etlab.measures import GridBackedDensity, canonical_angle
 from etlab.sediment import (
     ExternalPotentialSpec,
-    GridDensity,
     diffusion_replacement_potential,
     energy,
     micro_diffuse,
@@ -21,8 +21,8 @@ from etlab.sediment import (
 )
 
 
-def total_potential(rho: GridDensity, u: ExternalPotentialSpec) -> np.ndarray:
-    """V_U = U + W * rho at the cell centers (density part of rho only)."""
+def total_potential(rho: GridBackedDensity, u: ExternalPotentialSpec) -> np.ndarray:
+    """V_U = U + W * rho at the cell centers."""
     return u.on_grid(rho.n_cells) + sediment._interaction_potential(rho.values)
 
 
@@ -49,29 +49,26 @@ def direct_energy_from_coefficients(cos_coeffs, sin_coeffs,
 
 
 class TestGridDensity:
+    """The rules on the sediment's cell grid, where they are enforced: the
+    solver takes a power-of-two grid, micro-diffusion nonnegative cells."""
+
     def test_power_of_two_required(self):
         with pytest.raises(DomainError):
-            GridDensity(np.ones(100))
-
-    def test_mass_bookkeeping(self):
-        g = GridDensity(np.ones(64), ((0, 0.25),))
-        assert g.total_mass == pytest.approx(1.25)
-        with pytest.raises(DomainError):
-            GridDensity(np.ones(64), ((0, 0.25),), total_mass=2.0)
+            minimize_energy(ExternalPotentialSpec(0.0, 0.2), 0.6, 100, 20)
 
     def test_nonnegative(self):
         with pytest.raises(DomainError):
-            GridDensity(-np.ones(64))
+            micro_diffuse(GridBackedDensity(-np.ones(64)), 0.25, 8 / 64)
 
 
 class TestEnergy:
     def test_uniform_zero(self):
-        assert energy(GridDensity(np.ones(256)), ExternalPotentialSpec()) == 0.0
+        assert energy(GridBackedDensity(np.ones(256)), ExternalPotentialSpec()) == 0.0
 
     def test_single_mode_eighth(self):
         n = 512
         centers = (np.arange(n) + 0.5) / n
-        rho = GridDensity(1.0 + np.cos(2.0 * np.pi * centers))
+        rho = GridBackedDensity(1.0 + np.cos(2.0 * np.pi * centers))
         e = energy(rho, ExternalPotentialSpec())
         assert e == pytest.approx(0.125, abs=1e-12)
 
@@ -79,7 +76,7 @@ class TestEnergy:
         # continuum value is 0 (mean-zero kernel); the discrete sampling of U
         # leaves only the aliased residue ~ -2 m log|2 cos(pi n M)| / n
         n = 512
-        rho = GridDensity(np.ones(n))
+        rho = GridBackedDensity(np.ones(n))
         u = ExternalPotentialSpec(0.25, 0.1)
         assert abs(energy(rho, u)) <= 1e-3
 
@@ -94,7 +91,7 @@ class TestEnergy:
             scale = 0.9 / max(1.0, float(np.abs(a).sum() + np.abs(b).sum()))
             a, b = a * scale, b * scale
             phases = 2.0 * np.pi * np.outer(centers, kk)
-            rho = GridDensity(1.0 + np.cos(phases) @ a + np.sin(phases) @ b)
+            rho = GridBackedDensity(1.0 + np.cos(phases) @ a + np.sin(phases) @ b)
             spectral = energy(rho, ExternalPotentialSpec())
             direct = direct_energy_from_coefficients(a, b)
             assert spectral == pytest.approx(direct, abs=1e-8)
@@ -108,12 +105,13 @@ class TestEnergy:
 
 
 def new_endpoint_diracs(rho, x0, eps):
-    """(left, m1, right, m2): micro_diffuse's two new endpoint Diracs, as
-    angles, for a window on cells that carried none."""
+    """(left, m1, right, m2): micro_diffuse's two endpoint Diracs, as angles,
+    for a window whose endpoint masses are both positive."""
     n = rho.n_cells
     b0, k = round(x0 * n), round(eps * n)
+    left, right = (b0 - k) / n, (b0 + k) / n
     d = dict(micro_diffuse(rho, x0, eps).diracs)
-    return (b0 - k) / n, d[(b0 - k) % n], (b0 + k) / n, d[(b0 + k) % n]
+    return left, d[canonical_angle(left)], right, d[canonical_angle(right)]
 
 
 def clausen_replacement_potential(rho, x0, eps, x) -> float:
@@ -158,44 +156,46 @@ def gauss_legendre_replacement_potential(rho, x0, eps, xs) -> np.ndarray:
 class TestMicroDiffuse:
     def test_uniform_window_splits_evenly(self):
         n = 512
-        rho = GridDensity(np.ones(n))
+        rho = GridBackedDensity(np.ones(n))
         out = micro_diffuse(rho, 0.25, 16 / n)
         d = dict(out.diracs)
         # interval mass is 2 eps for unit density; each endpoint takes half
-        assert d[(128 - 16)] == pytest.approx(16 / n, abs=1e-15)
-        assert d[(128 + 16)] == pytest.approx(16 / n, abs=1e-15)
-        assert out.total_mass == pytest.approx(1.0)
+        assert d[canonical_angle((128 - 16) / n)] == pytest.approx(16 / n, abs=1e-15)
+        assert d[canonical_angle((128 + 16) / n)] == pytest.approx(16 / n, abs=1e-15)
+        assert out.mass() == pytest.approx(1.0)
 
     def test_empty_window_is_identity_mass(self):
         n = 256
         vals = np.ones(n)
         vals[50:70] = 0.0
-        rho = GridDensity(vals)
+        rho = GridBackedDensity(vals)
         out = micro_diffuse(rho, (60 + 0.0) / n, 8 / n)
-        assert all(m == 0.0 for _, m in out.diracs)
+        assert out.diracs == ()  # no endpoint Dirac of mass 0
+        assert np.array_equal(out.density.values, vals)
 
     def test_ramp_window_moment_system(self):
         n = 512
         vals = np.ones(n)
         idx = (128 - 16 + np.arange(32)) % n
         vals[idx] = np.linspace(0.5, 1.5, 32)
-        rho = GridDensity(vals)
+        rho = GridBackedDensity(vals)
         out = micro_diffuse(rho, 0.25, 16 / n)
         d = dict(out.diracs)
+        left, right = d[canonical_angle((128 - 16) / n)], d[canonical_angle((128 + 16) / n)]
         u = (idx + 0.5) / n - 0.25
         cm = vals[idx] / n
         eps = 16 / n
         m1 = float(np.sum(0.5 * (1.0 - u / eps) * cm))
         m2 = float(np.sum(0.5 * (1.0 + u / eps) * cm))
-        assert d[128 - 16] == pytest.approx(m1, abs=1e-15)
-        assert d[128 + 16] == pytest.approx(m2, abs=1e-15)
+        assert left == pytest.approx(m1, abs=1e-15)
+        assert right == pytest.approx(m2, abs=1e-15)
         # conservation of mass and first moment about the window center
-        assert (d[128 - 16] + d[128 + 16]) == pytest.approx(float(cm.sum()), abs=1e-14)
+        assert (left + right) == pytest.approx(float(cm.sum()), abs=1e-14)
         assert eps * (m2 - m1) == pytest.approx(float((cm * u).sum()), abs=1e-14)
 
     def test_too_coarse(self):
         with pytest.raises(IntervalTooCoarse):
-            micro_diffuse(GridDensity(np.ones(64)), 0.25, 2 / 64)
+            micro_diffuse(GridBackedDensity(np.ones(64)), 0.25, 2 / 64)
 
     @pytest.mark.parametrize("eps, error", [
         (1e-4, IntervalTooCoarse),  # no cell: the parent returned [0, nan, 0]
@@ -205,7 +205,7 @@ class TestMicroDiffuse:
         (-0.1, IntervalTooCoarse),  # a negative width: the parent returned zeros
     ])
     def test_replacement_potential_checks_the_window(self, eps, error):
-        rho = GridDensity(np.ones(64))
+        rho = GridBackedDensity(np.ones(64))
         with pytest.raises(error):
             micro_diffuse(rho, 0.25, eps)
         with pytest.raises(error):
@@ -216,7 +216,7 @@ class TestMicroDiffuse:
         xs = (np.arange(2048) + 0.5) / 2048
         for _ in range(10):
             vals = rng.random(n) + 0.05
-            rho = GridDensity(vals)
+            rho = GridBackedDensity(vals)
             b0 = int(rng.integers(0, n))
             k = int(rng.integers(4, 20))
             x0, eps = b0 / n, k / n
@@ -231,7 +231,7 @@ class TestMicroDiffuse:
         edges, where a fixed per-cell rule loses digits (32 Gauss-Legendre
         nodes are 9e-7 off at 1e-9), and at the far point."""
         n, b0, k = 256, 70, 12
-        rho = GridDensity(rng.random(n) + 0.05)
+        rho = GridBackedDensity(rng.random(n) + 0.05)
         x0, eps = b0 / n, k / n
         gaps = np.array([1e-9, 1e-6, 1e-3])
         xs = np.concatenate(((b0 - k) / n - gaps, (b0 + k) / n + gaps, [x0 + 0.5]))
@@ -243,7 +243,7 @@ class TestMicroDiffuse:
         xs = (np.arange(2048) + 0.5) / 2048
         for n in (256, 512):
             vals = rng.random(n) + 0.05
-            rho = GridDensity(vals)
+            rho = GridBackedDensity(vals)
             b0 = int(rng.integers(0, n))
             k = int(rng.integers(4, 20))
             x0, eps = b0 / n, k / n
@@ -285,7 +285,7 @@ class TestMinimize:
     def test_energy_below_uniform(self):
         u = ExternalPotentialSpec(0.0, 0.2)
         grid, _ = minimize_energy(u, 0.6, 256, 5000)
-        assert energy(grid, u) <= energy(GridDensity(np.full(256, 0.6)), u)
+        assert energy(grid, u) <= energy(GridBackedDensity(np.full(256, 0.6)), u)
 
     def test_total_potential_shape(self):
         u = ExternalPotentialSpec(0.0, 0.2)
@@ -324,12 +324,12 @@ class TestMinimize:
     def test_energy_convex_along_interpolations(self, rng):
         u = ExternalPotentialSpec(0.2, 0.1)
         for _ in range(5):
-            a = GridDensity(rng.random(128) + 0.01)
+            a = GridBackedDensity(rng.random(128) + 0.01)
             b_vals = rng.random(128) + 0.01
-            b_vals *= a.total_mass / b_vals.mean()
-            b = GridDensity(b_vals)
+            b_vals *= a.values.mean() / b_vals.mean()
+            b = GridBackedDensity(b_vals)
             ts = np.linspace(0.0, 1.0, 21)
-            es = [energy(GridDensity((1 - t) * a.values + t * b.values), u)
+            es = [energy(GridBackedDensity((1 - t) * a.values + t * b.values), u)
                   for t in ts]
             assert np.all(np.diff(es, 2) >= -1e-12)
 

@@ -31,7 +31,6 @@ DELETED = {
     "polynomials.real_root_check": ("grid_n",),
     "polynomials.count_at_angle": ("tol",),
     "harmonic.conjugate_pair": ("grid_n",),
-    "harmonic.random_nonneg_trig_samples": ("degree", "depth"),
     "sediment.ExternalPotentialSpec": ("extra",),
     "sediment.minimize_energy": ("step", "support_frac", "trace_every"),
 }
@@ -50,6 +49,13 @@ REMOVED = [
     "errors.AtDirac",
     "polynomials.PolynomialSpec.expanded_coeffs",
     "sediment.total_potential",
+    "measures.AdmissibleDistR.with_lam",
+    "harmonic.random_nonneg_trig_samples",
+    "polynomials.PolynomialSpec.roots_complex",
+    "extremal.TABLE1_R_GRID",
+    # the sediment state is a measures.GridBackedDensity
+    "etlab.GridDensity",
+    "sediment.GridDensity",
 ]
 
 
