@@ -824,6 +824,32 @@ class _FixedNodes:
                 turns * first + 0.5 * turns * (turns - 1.0) * total + turns * mass + moment)
 
 
+# Q_n(z) = a_n u**(n + 1) sum_m c_{n,m} u**(2m) for z > 1 and n <= _PANEL_NODES,
+# with u = 1 / (z + sqrt(z**2 - 1)) (the hypergeometric form, DLMF 14.3): a_0 = 2,
+# a_{n+1} = a_n (n + 1) / (n + 3/2), c_{n,0} = 1 and c_{n,m+1} = c_{n,m}
+# (m + 1/2) (n + 1 + m) / ((m + 1) (n + 3/2 + m)).  Every term is positive, so
+# nothing cancels, and the far z of a call take two power tables and one matmul
+# in place of a recurrence of numpy calls.  The table, built once here, holds
+# a_n c_{n,m} in row M - m: the matmul adds the smallest terms first, which
+# keeps the series within 6.7e-16 of the backward recurrence it replaced,
+# where the order m = 0, 1, ... strays to 1.3e-15.  Where |z| > 1.1,
+# u**2 <= 0.412, so the terms past M = 44 add under 0.412**45 / 0.588 < 1e-17
+# relative.
+_FAR_TERMS = 45
+
+
+def _far_series() -> np.ndarray:
+    n = np.arange(_PANEL_NODES + 1.0)
+    m = np.arange(_FAR_TERMS - 1.0)[:, None]
+    c = np.cumprod((m + 0.5) * (n + 1.0 + m) / ((m + 1.0) * (n + 1.5 + m)), axis=0)
+    a = 2.0 * np.cumprod(np.append(1.0, (n[:-1] + 1.0) / (n[:-1] + 1.5)))
+    return (np.vstack((np.ones(n.size), c)) * a)[::-1].copy()
+
+
+_FAR_SERIES = _far_series()
+_FAR_POWERS = 2.0 * np.arange(_FAR_TERMS - 1.0, -1.0, -1.0)  # 2m for row M - m
+
+
 def _log_moments(z: np.ndarray) -> np.ndarray:
     """I_k(z) = int_{-1}^{1} P_k(t) log|z - t| dt, k < _PANEL_NODES, at each z
     of a 1-d array: I_k = 2 (Q_{k+1} - Q_{k-1}) / (2k + 1) with the Legendre
@@ -831,8 +857,8 @@ def _log_moments(z: np.ndarray) -> np.ndarray:
 
     For |z| <= 1.1 Q_k runs forward from Q_0 = (log|z + 1| - log|z - 1|) / 2,
     and I_0 takes the form that keeps its digits next to z = +-1.  Beyond,
-    rounding would grow like P_k forward, so the ratios Q_k / Q_{k-1} run
-    backward from 0 at k = 3 * _PANEL_NODES (converged by 0.41**48 at 1.1).
+    rounding would grow like P_k forward, so Q_k is the positive series of
+    ``_FAR_SERIES`` at |z|, and Q_k(-z) = (-1)**(k + 1) Q_k(z).
     At z = +-1: I_0 = 2 log 2 - 2, I_k = (+-1)**k (-2 / (k (k + 1))).
     """
     n = _PANEL_NODES
@@ -840,17 +866,21 @@ def _log_moments(z: np.ndarray) -> np.ndarray:
     sign = z[edge, None]
     z = np.where(edge, 0.0, z)  # the edges take the closed form
     lp, lm = np.log(np.abs(z + 1.0)), np.log(np.abs(z - 1.0))
-    zn, zf = np.where(far, 0.0, z), z[far]  # the far z are overwritten below
-    q = np.empty((n + 1, z.size))
-    q[0] = 0.5 * (lp - lm)
-    q[1] = zn * q[0] - 1.0
+    near = ~far
+    zn, zf = z[near], np.abs(z[far])
+    qn = np.empty((n + 1, zn.size))
+    qn[0] = 0.5 * (lp[near] - lm[near])
+    qn[1] = zn * qn[0] - 1.0
     for k in range(1, n):
-        q[k + 1] = ((2 * k + 1) * zn * q[k] - k * q[k - 1]) / (k + 1)
-    ratios = [np.zeros(zf.size)]
-    for k in range(3 * n, 0, -1):
-        ratios.append(k / ((2 * k + 1) * zf - (k + 1) * ratios[-1]))
-    q[0, far] = np.arctanh(1.0 / zf)
-    q[1:, far] = q[0, far] * np.cumprod(ratios[:-n - 1:-1], axis=0)
+        qn[k + 1] = ((2 * k + 1) * zn * qn[k] - k * qn[k - 1]) / (k + 1)
+    # log u = -arccosh |z| = -log1p(t + sqrt(t (t + 2))) with t = |z| - 1 exact
+    t = zf - 1.0
+    log_u = -np.log1p(t + np.sqrt(t * (zf + 1.0)))
+    q = np.empty((n + 1, z.size))
+    q[:, near] = qn
+    q[:, far] = (_FAR_SERIES.T @ np.exp(np.multiply.outer(_FAR_POWERS, log_u))) \
+        * np.exp(np.multiply.outer(np.arange(1.0, n + 2.0), log_u))
+    q[:, far & (z < 0.0)] *= (-1.0) ** np.arange(1, n + 2)[:, None]
     k = np.arange(1, n)
     out = np.empty((z.size, n))
     out[:, 0] = np.where(far, 2.0 * q[1] + lp + lm, (z + 1.0) * lp - (z - 1.0) * lm - 2.0)
@@ -931,12 +961,34 @@ def discrepancy_mixed(rho: MixedMeasureT) -> tuple[float, IntervalT]:
                      density + dirac_cum[np.searchsorted(pos, t, side="left")] - (t - base))
 
 
+# _LEG_TO_CHEB[k] = the Chebyshev coefficients of P_k, k < _PANEL_NODES, from
+# Legendre's cosine series P_k(cos t) = sum_j alpha_j alpha_{k-j} cos((k - 2j) t)
+# with alpha_j = (1/2)_j / j! = C(2j, j) / 4**j.  The alpha_j are exact in
+# binary, so every entry is its exact value rounded once.  The detour through
+# monomials (leg2poly) loses about 1e-10 at degree 23, and interpolation at 24
+# Chebyshev points 1.2e-15.  A panel's interpolant is then
+# sum_j b_j cos(j arccos u), a handful of numpy calls per bisection step where
+# legval's Clenshaw loop makes two dozen.
+def _leg_to_cheb() -> np.ndarray:
+    n = _PANEL_NODES
+    alpha = np.array([math.comb(2 * j, j) / 4.0**j for j in range(n)])
+    out = np.zeros((n, n))
+    for k in range(n):
+        j = np.arange(k // 2 + 1)
+        out[k, k - 2 * j] = np.where(2 * j == k, 1.0, 2.0) * alpha[j] * alpha[k - j]
+    return out
+
+
+_LEG_TO_CHEB = _leg_to_cheb()
+
+
 def _crossings(fixed: _FixedNodes, level: float) -> np.ndarray:
     """The points where rho's panel interpolants cross ``level``, unsorted:
     bracketed between neighbours among the panel ends and nodes, then
-    bisected, all panels at once, and the panel edges where the interpolants
-    on the two sides lie on either side (at a sqrt kink they can disagree,
-    by 3.6e-6 for a ``PeriodizedDensity`` at (R, lam) = (1.005, 0.005)).
+    bisected on their Chebyshev forms (``_LEG_TO_CHEB``), all brackets at
+    once, and the panel edges where the interpolants on the two sides lie on
+    either side (at a sqrt kink they can disagree, by 3.6e-6 for a
+    ``PeriodizedDensity`` at (R, lam) = (1.005, 0.005)).
     A sign change by at most 1e-12 is no bracket.  At level 1 a missed pair
     of crossings moves the sup of ``discrepancy_mixed`` by less than 1e-12
     times its width, and the fit of a panel equal to 1 rounds to 1.1e-13;
@@ -946,9 +998,10 @@ def _crossings(fixed: _FixedNodes, level: float) -> np.ndarray:
     excess = fixed.coef @ np.polynomial.legendre.legvander(nodes, _PANEL_NODES - 1).T - level
     above = excess > 0.0
     panel, k = np.nonzero((above[:, 1:] != above[:, :-1]) & (np.abs(np.diff(excess)) > 1e-12))
-    coef, start = fixed.coef[panel].T, above[panel, k]
-    u = bisect(lambda u: (np.polynomial.legendre.legval(u, coef, tensor=False) > level) == start,
-               nodes[k], nodes[k + 1], 2.0**-42)
+    cheb, start = fixed.coef[panel] @ _LEG_TO_CHEB, above[panel, k]
+    j = np.arange(_PANEL_NODES)
+    u = bisect(lambda u: ((cheb * np.cos(np.multiply.outer(np.arccos(u), j))).sum(axis=1)
+                          > level) == start, nodes[k], nodes[k + 1], 2.0**-42)
     lo, hi = fixed.edges[panel], fixed.edges[panel + 1]
     # edge p + 1 joins the end of panel p to the start of panel p + 1, the last to the first
     head = np.roll(excess[:, 0], -1)

@@ -110,13 +110,15 @@ def micro_diffuse(rho: GridBackedDensity, x0: float, eps: float) -> MixedMeasure
 
     The window snaps to the cell lattice, its center to b0 / n and its
     half-width to k / n; it must span at least 8 cells and less than half the
-    circle.  A cell below -1e-12 raises ``DomainError``; the cells in
-    [-1e-12, 0) count as 0.  The endpoint masses m1 at (b0 - k) / n and m2 at
-    (b0 + k) / n match the window's moments about its center
-    (``discretize._endpoint_masses``).  For piecewise-constant densities the
-    midpoint sums are the exact moment integrals, so mass and first moment
-    are conserved to rounding.
+    circle.  A non-finite x0 or eps, or a cell below -1e-12, raises
+    ``DomainError``; the cells in [-1e-12, 0) count as 0.  The endpoint
+    masses m1 at (b0 - k) / n and m2 at (b0 + k) / n match the window's
+    moments about its center (``discretize._endpoint_masses``).  For
+    piecewise-constant densities the midpoint sums are the exact moment
+    integrals, so mass and first moment are conserved to rounding.
     """
+    if not (math.isfinite(x0) and math.isfinite(eps)):
+        raise DomainError(f"x0 and eps must be finite, got x0={x0}, eps={eps}")
     if np.any(rho.values < -1e-12):
         raise DomainError("cell values must be nonnegative")
     values = np.maximum(rho.values, 0.0)

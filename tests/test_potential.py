@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graded_quadrature as graded
-from reference_oracles import potential_exact
-from etlab import kernels, measures
+from reference_oracles import crossings_legval, log_moments_recurrence, potential_exact
+from etlab import extremal, kernels, measures
 from etlab.discretize import discretize_measure, move_to_slab_midpoints, rationalize
 from etlab.errors import NegativeDensity
 from etlab.extremal import make_admissible, periodize, rho_type1, rho_type2
@@ -294,12 +294,14 @@ def test_every_node_as_a_target_where_nodes_are_two_ulps_apart():
 
 
 @pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1 - 1e-12, -(1 - 1e-12), 1.0, -1.0, 1 + 1e-12,
-                               -(1 + 1e-12), 1.0999, 1.1001, 1.5, 2.0, 3.0, 5.0, -3.0, 50.0])
+                               -(1 + 1e-12), 1.0999, 1.1, -1.1, 1.1001, -1.1001, 1.5, -1.5, 2.0,
+                               -2.0, 3.0, 5.0, -3.0, 50.0, 1e3])
 def test_log_moments_against_mpmath(z):
     """I_k(z) = int P_k(t) log|z - t| dt for every k of a panel, on both
-    sides of the switch from the forward to the backward recurrence at 1.1
-    and next to the panel edges z = +-1.  The substitution u = t - z puts
-    the singularity on a breakpoint at 0, which the quadrature never hits."""
+    sides of the switch from the forward recurrence to the far-z series at
+    |z| = 1.1 and on it, at far z of both signs, and next to the panel edges
+    z = +-1.  The substitution u = t - z puts the singularity on a
+    breakpoint at 0, which the quadrature never hits."""
     got = measures._log_moments(np.array([z]))[0]
     assert got.shape == (measures._PANEL_NODES,)
     zz = mpmath.mpf(z)
@@ -308,6 +310,75 @@ def test_log_moments_against_mpmath(z):
         want = [mpmath.quad(lambda u: mpmath.legendre(k, zz + u) * mpmath.log(abs(u)), ends)
                 for k in range(got.size)]
     assert np.max(np.abs(got - np.array(want, dtype=float))) <= 1e-13
+
+
+def test_log_moment_series_against_the_recurrence():
+    """The far-z series against the backward ratio recurrence it replaced,
+    at 2,000 seeded z: 500 each in (1.1, 3], [-3, -1.1), (3, 1e3] and
+    [-1e3, -3), the last two spread evenly in log |z|."""
+    rng = np.random.default_rng(2028)
+    mag = np.concatenate((3.0 - rng.uniform(0.0, 1.9, 1000),
+                          1e3 * np.exp(-rng.uniform(0.0, math.log(1e3 / 3.0), 1000))))
+    z = np.where(np.arange(mag.size) % 2 == 0, mag, -mag)
+    got, want = measures._log_moments(z), log_moments_recurrence(z)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_legendre_to_chebyshev_table():
+    """Row k of _LEG_TO_CHEB holds the Chebyshev coefficients of P_k."""
+    for k in range(measures._PANEL_NODES):
+        want = np.polynomial.Legendre.basis(k).convert(kind=np.polynomial.Chebyshev).coef
+        row = measures._LEG_TO_CHEB[k]
+        assert np.max(np.abs(row[:k + 1] - want)) <= 1e-15
+        assert np.all(row[k + 1:] == 0.0)
+
+
+# the periodized densities of the crossing checks, by (R, lam): kinds II and
+# III, and the sqrt kink of _crossings' docstring at (1.005, 0.005); and a
+# density of eight modes, which crosses 1 twelve times
+PERIODIZED = {"II_2.1": (2.1, 0.1), "II_2.35": (2.35, 0.06), "III_1.4": (1.4, 0.1),
+              "III_1.2": (1.2, 0.13), "III_1.005": (1.005, 0.005)}
+def _periodized(R: float, lam: float):
+    return lambda: periodize(make_admissible(R, lam))
+
+
+CROSSING_FAMILIES = dict(FAMILIES, uniform_plus_8=lambda: MixedMeasureT(
+    diracs=(), density=UniformPlusDensity(0.12 * np.cos(np.arange(1.0, 9.0)),
+                                          0.1 * np.sin(1.7 * np.arange(1.0, 9.0)))))
+CROSSING_FAMILIES.update({f"periodized_{k}": _periodized(*v) for k, v in PERIODIZED.items()})
+
+
+@pytest.mark.parametrize("level", [1.0, 0.0])
+@pytest.mark.parametrize("name", sorted(CROSSING_FAMILIES))
+def test_crossings_match_the_legval_bisection(name, level):
+    """The bisection on the Chebyshev form against the bisection on legval:
+    the same brackets, and each crossing within 2**-42 of its panel's
+    half-width, the bisection's own tolerance."""
+    fixed = CROSSING_FAMILIES[name]()._fixed_nodes
+    got, want = measures._crossings(fixed, level), crossings_legval(fixed, level)
+    assert got.shape == want.shape
+    half = 0.5 * np.diff(fixed.edges)
+    panel = np.clip(np.searchsorted(fixed.edges, want, side="right") - 1, 0, half.size - 1)
+    assert np.all(np.abs(got - want) <= 2.0**-42 * half[panel])
+
+
+# rho_type1 takes its closed form D = 2m and reads no crossing
+@pytest.mark.parametrize("name", [n for n in sorted(CROSSING_FAMILIES) if not n.startswith("type1")])
+def test_discrepancy_bitwise_with_the_legval_bisection(name, monkeypatch):
+    rho = CROSSING_FAMILIES[name]()
+    got = discrepancy_mixed(rho)
+    monkeypatch.setattr(measures, "_crossings", crossings_legval)
+    assert discrepancy_mixed(rho) == got
+
+
+@pytest.mark.parametrize("R, lam", sorted(PERIODIZED.values()))
+def test_ring_radii_bitwise_with_the_legval_bisection(R, lam, monkeypatch):
+    mu = make_admissible(R, lam)
+    got = periodize(mu).meta
+    monkeypatch.setattr(extremal, "_crossings", crossings_legval)
+    want = periodize(mu).meta
+    assert (got["l_ring"], got["r_ring"]) == (want["l_ring"], want["r_ring"])
+    assert got["r_ring"] is not None or got["l_ring"] is not None
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["grid_backed"])

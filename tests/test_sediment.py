@@ -211,6 +211,19 @@ class TestMicroDiffuse:
         with pytest.raises(error):
             diffusion_replacement_potential(rho, 0.25, eps, np.array([0.3, 0.25, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["x0", "eps"])
+    def test_non_finite_window_is_a_domain_error(self, which, bad):
+        """A NaN or infinite centre or half-width is bad input: it had raised
+        a bare ValueError from int(round(nan)), or for a NaN eps the
+        misleading "eps must be < 1/2"."""
+        rho = GridBackedDensity(np.ones(64))
+        args = {"x0": 0.25, "eps": 0.2, which: bad}
+        with pytest.raises(DomainError, match="finite"):
+            micro_diffuse(rho, args["x0"], args["eps"])
+        with pytest.raises(DomainError, match="finite"):
+            diffusion_replacement_potential(rho, args["x0"], args["eps"], np.array([0.3, 0.0]))
+
     def test_potential_rises_outside(self, rng):
         n = 512
         xs = (np.arange(2048) + 0.5) / 2048
